@@ -19,9 +19,8 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,13 +311,6 @@ _EQUILIBRIUM_HEADER = ("sigma_ground", "sigma_coth",
                        "sigma_high_temperature")
 
 
-def _energy_column(sigma: np.ndarray, sigma_dot: np.ndarray,
-                   params: PhysicalParams) -> np.ndarray:
-    return (0.5 * params.m * sigma_dot ** 2
-            + 0.5 * params.m * params.omega0 ** 2 * sigma ** 2
-            + params.hbar ** 2 / (8.0 * params.m * sigma ** 2))
-
-
 def _run_trajectory(parsed: dict):
     """Integrate one width model; returns (rows, trajectory, reason)."""
     t0, t1 = parsed["t_span"]
@@ -332,7 +324,7 @@ def _run_trajectory(parsed: dict):
             parsed["params"], parsed["integrator"])
     ts = np.linspace(t0, float(traj.times[-1]), parsed["samples"])
     got = traj.sample(ts)
-    energy = _energy_column(got[:, 0], got[:, 1], parsed["params"])
+    energy = core.energy(got, parsed["params"])
     rows = [(float(t), float(row[0]), float(row[1]), float(e))
             for t, row, e in zip(ts, got, energy)]
     return rows, traj, reason
@@ -505,6 +497,8 @@ _SWEEP_TASKS = ("simulate", "thermal", "equilibrium")
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs must be at least 1")
     cfg = _load_config(args.config)
     task = _need(cfg, "task", "")
     if task not in _SWEEP_TASKS:
@@ -523,18 +517,12 @@ def _cmd_sweep(args) -> int:
     base = {k: v for k, v in cfg.items()
             if k not in ("task", "sweep", "output")}
 
-    # Parse once up front so configuration errors surface before any
-    # point runs, then re-parse per point with the swept values set.
-    def _materialise(point):
-        local = copy.deepcopy(base)
-        for name, value in zip(names, point):
-            _set_by_path(local, name, value)
-        return local
-
     points = list(itertools.product(*grids))
 
     def run_point(point):
-        local = _materialise(point)
+        local = copy.deepcopy(base)
+        for name, value in zip(names, point):
+            _set_by_path(local, name, value)
         if task == "simulate":
             parsed = _parse_simulate(local)
             rows, _, reason = _run_trajectory(parsed)
@@ -547,12 +535,8 @@ def _cmd_sweep(args) -> int:
             reason = StopReason.COMPLETED
         return [tuple(point) + tuple(row) for row in rows], reason
 
-    _materialise(points[0])  # surface path errors before spawning workers
-    if args.jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run_point, points))
-    else:
-        outcomes = [run_point(point) for point in points]
+    # --jobs is validated but the points run serially, in sweep order.
+    outcomes = [run_point(point) for point in points]
 
     if task == "simulate":
         header = tuple(names) + _TRAJECTORY_HEADER
@@ -648,7 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[withcfg, common],
                        help="repeat a task over one or two parameter grids")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="concurrent sweep points (default: 1)")
+                   help="accepted for compatibility; points run "
+                        "serially (default: 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("equilibrium", parents=[withcfg, common],
@@ -661,7 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="suite names (default: all); see "
                         + ", ".join(verification.suite_names()))
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="concurrent suites (default: 1)")
+                   help="accepted for compatibility; suites run "
+                        "serially (default: 1)")
     p.add_argument("--rel-tol", type=float, default=None, metavar="TOL",
                    help="override the relative tolerance of every "
                         "integration the checks perform")

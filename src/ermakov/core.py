@@ -11,6 +11,8 @@ is exactly 0.0) rather than approximately.
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 # SI constants used for the radiation reaction coefficient.
 ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F / m
@@ -125,17 +127,24 @@ def ground_state_sigma(params: PhysicalParams) -> float:
     return math.sqrt(params.hbar / (2.0 * params.m * params.omega0))
 
 
-def energy(state: State, params: PhysicalParams) -> float:
+def energy(state, params: PhysicalParams):
     """First integral m*sd^2/2 + m*w0^2*s^2/2 + hbar^2/(8 m s^2).
 
     Exactly conserved along the conservative width equation; decreases at the
-    rate b*sigma_dot^2 along the damped one.
+    rate b*sigma_dot^2 along the damped one.  ``state`` is a State, which
+    must have sigma > 0, or an array of states whose last axis starts
+    (sigma, sigma_dot); an array gives one energy per state and its widths
+    are not checked.
     """
-    s = state.sigma
-    if not s > 0.0:
-        raise ValueError(f"energy requires sigma > 0, got {s!r}")
+    if isinstance(state, State):
+        s, sd = state.sigma, state.sigma_dot
+        if not s > 0.0:
+            raise ValueError(f"energy requires sigma > 0, got {s!r}")
+    else:
+        rows = np.asarray(state, dtype=float)
+        s, sd = rows[..., 0], rows[..., 1]
     m, w0, hbar = params.m, params.omega0, params.hbar
-    return 0.5 * m * state.sigma_dot ** 2 + 0.5 * m * w0 ** 2 * s ** 2 \
+    return 0.5 * m * sd ** 2 + 0.5 * m * w0 ** 2 * s ** 2 \
         + hbar ** 2 / (8.0 * m * s ** 2)
 
 

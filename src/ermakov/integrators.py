@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import models
+from . import core, models
 from .core import PhysicalParams, State, State3
-from .models import ModelVariant, OVERDAMPED_VARIANTS, SECOND_ORDER_VARIANTS
+from .models import ModelVariant, OVERDAMPED_VARIANTS
 
 
 class Scheme(Enum):
@@ -138,12 +138,32 @@ def _rms(scaled: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(scaled))))
 
 
-def _eval_segment(coeffs: np.ndarray, x: float) -> np.ndarray:
-    """Evaluate one (5, dim) step-local polynomial at x in [0, 1]."""
-    poly = coeffs[4]
+def _dense_sample(times: np.ndarray, states: np.ndarray,
+                  coeffs: np.ndarray, ts) -> tuple:
+    """Evaluate a run's dense output at the requested times, one row each.
+
+    A time equal to a node returns that node's state exactly; any other
+    time evaluates its step's (5, dim) local polynomial by Horner's rule
+    into the leading dim columns.  Returns (rows, between), where
+    ``between`` flags the rows that were interpolated.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    lo, hi = times[0], times[-1]
+    if not np.all((ts >= lo) & (ts <= hi)):
+        raise ValueError(f"sample times must lie within [{lo!r}, {hi!r}]")
+    node = np.searchsorted(times, ts)
+    hit = np.minimum(node, times.size - 1)
+    between = times[hit] != ts
+    out = np.empty((ts.size, states.shape[1]))
+    out[~between] = states[hit[~between]]
+    seg = node[between] - 1
+    x = ((ts[between] - times[seg]) / (times[seg + 1] - times[seg]))[:, None]
+    c = coeffs[seg]
+    poly = c[:, 4]
     for k in (3, 2, 1, 0):
-        poly = poly * x + coeffs[k]
-    return poly
+        poly = poly * x + c[:, k]
+    out[between, :poly.shape[1]] = poly
+    return out, between
 
 
 def _hermite_coeffs(y0: np.ndarray, f0: np.ndarray, y1: np.ndarray,
@@ -277,9 +297,14 @@ def _initial_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     for j in range(nguard):
         if f0[j] < 0.0:
             h0 = min(h0, -0.5 * y0[j] / f0[j])
+    if not h0 > 0.0:
+        # The derivative overflowed the error scale (d1 = inf).
+        return config.h_min
     y1 = y0 + h0 * f0
     f1 = rhs(y1)
     d2 = _rms((f1 - f0) / scale) / h0
+    if not math.isfinite(d2):
+        return config.h_min
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
@@ -323,36 +348,16 @@ class Trajectory:
     @property
     def energy(self) -> np.ndarray:
         """Oscillator energy functional at each node."""
-        p = self.params
-        sig = self.states[:, 0]
-        vel = self.states[:, 1]
-        return (0.5 * p.m * vel ** 2 + 0.5 * p.m * p.omega0 ** 2 * sig ** 2
-                + p.hbar ** 2 / (8.0 * p.m * sig ** 2))
+        return core.energy(self.states, self.params)
 
     def sample(self, times) -> np.ndarray:
         """Interpolated states at the requested times, one row each."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        lo, hi = self.times[0], self.times[-1]
-        if np.any(ts < lo) or np.any(ts > hi):
-            raise ValueError(
-                f"sample times must lie within [{lo!r}, {hi!r}]")
-        out = np.empty((ts.size, self.states.shape[1]))
-        node = np.searchsorted(self.times, ts)
-        for row, t in enumerate(ts):
-            i = node[row]
-            if i < self.times.size and self.times[i] == t:
-                out[row] = self.states[i]
-                continue
-            seg = i - 1
-            h = self.times[seg + 1] - self.times[seg]
-            x = (t - self.times[seg]) / h
-            poly = _eval_segment(self.dense_coefficients[seg], x)
-            if self.first_order:
-                out[row, 0] = poly[0]
+        out, between = _dense_sample(self.times, self.states,
+                                     self.dense_coefficients, times)
+        if self.first_order:
+            for row in np.flatnonzero(between):
                 out[row, 1] = models.overdamped_velocity(
-                    float(poly[0]), self.params, self.variant)
-            else:
-                out[row] = poly
+                    float(out[row, 0]), self.params, self.variant)
         return out
 
     def state_at(self, t: float):
@@ -370,11 +375,16 @@ def sample(trajectory: Trajectory, times) -> np.ndarray:
 
 
 def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-           t_span: tuple, config: IntegratorConfig, order: int,
+           t_span: tuple, config: IntegratorConfig,
            runaway_scale: Optional[float] = None,
            runaway_window: Optional[float] = None, nguard: int = 1):
-    """Shared adaptive loop.  Returns (node arrays..., counters, reason)."""
+    """Shared adaptive loop.
+
+    Returns (fields, reason): ``fields`` maps the trajectory field names
+    (node arrays, dense coefficients and counters) to their values.
+    """
     t0, t_end = t_span
+    explicit = config.scheme is Scheme.DOPRI54
     nfev = [0]
 
     def counted(y: np.ndarray) -> np.ndarray:
@@ -388,9 +398,9 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     if config.h_init is not None:
         h = min(config.h_init, t_end - t0)
     else:
-        h = _initial_step(counted, y0, f0, t_end - t0, order, config, nguard)
+        h = _initial_step(counted, y0, f0, t_end - t0, 5 if explicit else 2,
+                          config, nguard)
 
-    explicit = config.scheme is Scheme.DOPRI54
     exponent = 0.2 if explicit else 1.0 / 3.0
 
     times = [t0]
@@ -512,11 +522,18 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         err_prev = max(err, 1e-10)
         h = min(max(h_att * fac, config.h_min), config.h_max)
 
-    dim = y0.size
-    dense_arr = (np.array(dense) if dense
-                 else np.zeros((0, 5, dim)))
-    return (np.array(times), np.array(states), np.array(hs), np.array(errs),
-            dense_arr, n_accept, n_reject, nfev[0], reason)
+    fields = {
+        "times": np.array(times),
+        "states": np.array(states),
+        "step_sizes": np.array(hs),
+        "error_estimates": np.array(errs),
+        "dense_coefficients": (np.array(dense) if dense
+                               else np.zeros((0, 5, y0.size))),
+        "n_accepted": n_accept,
+        "n_rejected": n_reject,
+        "n_rhs": nfev[0],
+    }
+    return fields, reason
 
 
 def _check_span(t_span) -> tuple:
@@ -596,14 +613,9 @@ def integrate(variant: ModelVariant, initial, t_span,
         runaway_scale = None
         runaway_window = None
 
-    (times, states, hs, errs, dense, na, nr, nf, reason) = _drive(
-        rhs, y0, (t0, t1), config, 5 if config.scheme is Scheme.DOPRI54
-        else 2, runaway_scale, runaway_window)
-    traj = Trajectory(variant=variant, params=params, times=times,
-                      states=states, step_sizes=hs, error_estimates=errs,
-                      dense_coefficients=dense, n_accepted=na, n_rejected=nr,
-                      n_rhs=nf)
-    return traj, reason
+    fields, reason = _drive(rhs, y0, (t0, t1), config, runaway_scale,
+                            runaway_window)
+    return Trajectory(variant=variant, params=params, **fields), reason
 
 
 def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
@@ -633,14 +645,10 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
                                                     variant)])
 
     y0 = np.array([float(sigma0)])
-    (times, sigmas, hs, errs, dense, na, nr, nf, reason) = _drive(
-        rhs, y0, (t0, t1), config,
-        5 if config.scheme is Scheme.DOPRI54 else 2)
+    fields, reason = _drive(rhs, y0, (t0, t1), config)
+    sigmas = fields["states"][:, 0]
     vel = np.array([models.overdamped_velocity(float(s), params, variant)
-                    for s in sigmas[:, 0]])
-    states = np.column_stack([sigmas[:, 0], vel])
-    traj = Trajectory(variant=variant, params=params, times=times,
-                      states=states, step_sizes=hs, error_estimates=errs,
-                      dense_coefficients=dense, first_order=True,
-                      n_accepted=na, n_rejected=nr, n_rhs=nf)
-    return traj, reason
+                    for s in sigmas])
+    fields["states"] = np.column_stack([sigmas, vel])
+    return Trajectory(variant=variant, params=params, first_order=True,
+                      **fields), reason

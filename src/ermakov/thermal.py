@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .core import PhysicalParams
-from .integrators import (IntegratorConfig, Scheme, StopReason, _drive,
-                        _eval_segment)
+from .integrators import (IntegratorConfig, StopReason, _check_span,
+                          _dense_sample, _drive)
 
 
 class ThermalVariant(Enum):
@@ -270,23 +270,8 @@ class ThermalTrajectory:
 
     def sample(self, times) -> np.ndarray:
         """Interpolated stacked fields (width block then rate block)."""
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        lo, hi = self.times[0], self.times[-1]
-        if np.any(ts < lo) or np.any(ts > hi):
-            raise ValueError(
-                f"sample times must lie within [{lo!r}, {hi!r}]")
-        out = np.empty((ts.size, self.states.shape[1]))
-        node = np.searchsorted(self.times, ts)
-        for row, t in enumerate(ts):
-            i = node[row]
-            if i < self.times.size and self.times[i] == t:
-                out[row] = self.states[i]
-                continue
-            seg = i - 1
-            h = self.times[seg + 1] - self.times[seg]
-            x = (t - self.times[seg]) / h
-            out[row] = _eval_segment(self.dense_coefficients[seg], x)
-        return out
+        return _dense_sample(self.times, self.states,
+                             self.dense_coefficients, times)[0]
 
     def field_at(self, t: float) -> ThermalField:
         row = self.sample(t)[0]
@@ -310,9 +295,7 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
         raise ValueError("thermal evolution needs a finite-temperature "
                          "parameter set; the grid supplies the per-node "
                          "inverse temperatures")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ValueError("t_span must be finite with t_end > t_start")
+    t0, t1 = _check_span(t_span)
     grid = initial.grid
     n = grid.count
     if np.min(initial.sigma) <= config.sigma_min_guard:
@@ -323,14 +306,9 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
             variant, y[:n], y[n:], grid, params)))
 
     y0 = np.concatenate((initial.sigma, initial.sigma_dot))
-    (times, states, hs, errs, dense, na, nr, nf, reason) = _drive(
-        rhs, y0, (t0, t1), config,
-        5 if config.scheme is Scheme.DOPRI54 else 2, nguard=n)
-    traj = ThermalTrajectory(variant=variant, params=params, grid=grid,
-                             times=times, states=states, step_sizes=hs,
-                             error_estimates=errs, dense_coefficients=dense,
-                             n_accepted=na, n_rejected=nr, n_rhs=nf)
-    return traj, reason
+    fields, reason = _drive(rhs, y0, (t0, t1), config, nguard=n)
+    return ThermalTrajectory(variant=variant, params=params, grid=grid,
+                             **fields), reason
 
 
 def stationary_profile(variant: ThermalVariant, grid: BetaGrid,

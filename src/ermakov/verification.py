@@ -16,7 +16,6 @@ visible to the suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -111,14 +110,6 @@ def _config(rel_tol: Optional[float], default_rel: float, default_abs: float,
         return IntegratorConfig(rel_tol=default_rel, abs_tol=default_abs,
                                 **kwargs)
     return IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-3, **kwargs)
-
-
-def _energies(states: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    s = states[:, 0]
-    sd = states[:, 1]
-    return (0.5 * params.m * sd ** 2
-            + 0.5 * params.m * params.omega0 ** 2 * s ** 2
-            + params.hbar ** 2 / (8.0 * params.m * s ** 2))
 
 
 def _simpson(values: np.ndarray, spacing: float) -> float:
@@ -246,7 +237,7 @@ def _suite_energy(rel_tol: Optional[float]) -> List[CheckResult]:
             params, cfg)
         if not _completed(reason):
             return math.inf, 1e-8, False, f"stopped: {reason.value}"
-        es = _energies(traj.states, params)
+        es = core.energy(traj.states, params)
         meas = float(np.max(np.abs(es - es[0])) / abs(es[0]))
         return meas, 1e-8, meas <= 1e-8, "first integral along the run"
 
@@ -260,7 +251,7 @@ def _suite_energy(rel_tol: Optional[float]) -> List[CheckResult]:
             return math.inf, 1e-6, False, f"stopped: {reason.value}"
         ts = np.linspace(0.0, 10.0, 8001)
         got = traj.sample(ts)
-        es = _energies(got, dparams)
+        es = core.energy(got, dparams)
         lost = _simpson(dparams.b * got[:, 1] ** 2, ts[1] - ts[0])
         meas = abs(es[-1] - es[0] + lost) / abs(es[0])
         return meas, 1e-6, meas <= 1e-6, \
@@ -274,7 +265,7 @@ def _suite_energy(rel_tol: Optional[float]) -> List[CheckResult]:
             dparams, cfg)
         if not _completed(reason):
             return math.inf, 1e-10, False, f"stopped: {reason.value}"
-        es = _energies(traj.states, dparams)
+        es = core.energy(traj.states, dparams)
         meas = float(np.max(np.diff(es)) / abs(es[0]))
         return meas, 1e-10, meas <= 1e-10, \
             "largest energy increase between accepted steps"
@@ -610,7 +601,7 @@ def _suite_radiative(rel_tol: Optional[float]) -> List[CheckResult]:
         if not _completed(reason):
             return math.inf, 1e-4, False, f"stopped: {reason.value}"
         ground = 0.5 * params.hbar * params.omega0
-        meas = abs(_energies(traj.states[-1:], params)[0] / ground - 1.0)
+        meas = abs(core.energy(traj.states[-1:], params)[0] / ground - 1.0)
         return meas, 1e-4, meas <= 1e-4, \
             "final energy vs ground energy at the pinned horizon"
 
@@ -811,9 +802,9 @@ def run_suites(names: Union[str, Sequence[str]] = "all",
     ``names`` is a suite name, a sequence of them, or ``"all"``.
     ``rel_tol`` overrides the relative tolerance of every integration a
     check performs (the pass bounds stay fixed, so a loose override
-    makes integration-backed checks fail).  ``jobs`` bounds the number
-    of suites running concurrently; results keep suite order either
-    way.
+    makes integration-backed checks fail).  ``jobs`` must be at least 1
+    and has no effect on speed: the suites run serially, and results
+    keep suite order whatever its value.
     """
     if isinstance(names, str):
         wanted = list(_SUITES) if names == "all" else [names]
@@ -830,14 +821,7 @@ def run_suites(names: Union[str, Sequence[str]] = "all",
     if rel_tol is not None and not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol override must lie in (0, 1)")
 
-    if jobs == 1 or len(wanted) == 1:
-        collected = [_SUITES[name](rel_tol) for name in wanted]
-    else:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(wanted))) as pool:
-            futures = [pool.submit(_SUITES[name], rel_tol)
-                       for name in wanted]
-            collected = [f.result() for f in futures]
     results: List[CheckResult] = []
-    for chunk in collected:
-        results.extend(chunk)
+    for name in wanted:
+        results.extend(_SUITES[name](rel_tol))
     return Report(results=tuple(results))

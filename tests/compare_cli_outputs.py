@@ -1,0 +1,157 @@
+"""Check that two source trees write byte-identical CLI output files.
+
+Runs a fixed config set (simulate for four width models, thermal for
+both field variants, and a simulate sweep at ``--jobs 1`` and
+``--jobs 4``) once against each tree, each in a fresh interpreter, and
+compares every CSV and ``summary.json`` byte for byte.
+
+Usage::
+
+    python3 tests/compare_cli_outputs.py OLD_SRC NEW_SRC [WORK_DIR]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories that contain the
+``ermakov`` package (for example a checkout's ``src``).  Exits 0 when
+every file matches and 1 otherwise, naming each file that differs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = {
+    "conservative": ("simulate", {
+        "model": "conservative",
+        "initial": {"sigma": 1.3, "sigma_dot": 0.4},
+        "t_span": [0.0, 12.0],
+        "samples": 301,
+    }),
+    "dissipative": ("simulate", {
+        "model": "dissipative",
+        "params": {"natural": {"friction": 0.5}},
+        "initial": {"sigma": 2.0},
+        "t_span": [0.0, 10.0],
+        "samples": 201,
+    }),
+    "overdamped-dissipative": ("simulate", {
+        "model": "overdamped-dissipative",
+        "params": {"b": 10.0},
+        "initial": {"sigma": 0.3},
+        "t_span": [0.0, 3.0],
+        "samples": 157,
+    }),
+    "radiative-naive": ("simulate", {
+        "model": "radiative-naive",
+        "params": {"natural": {"radiation": 0.01}},
+        "initial": {"sigma": 1.0, "sigma_dot": 0.1},
+        "t_span": [0.0, 2.0],
+        "samples": 101,
+    }),
+    "thermal-integral-explicit": ("thermal", {
+        "variant": "integral-form",
+        "params": {"natural": {"temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 4.0, "beta_count": 21},
+        "profile": {"kind": "scaled-coth", "factor": 1.05},
+        "t_span": [0.0, 3.0],
+        "samples": 31,
+    }),
+    "thermal-slope-implicit": ("thermal", {
+        "variant": "beta-derivative",
+        "params": {"natural": {"friction": 20.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.8, "beta_max": 2.4, "beta_count": 15},
+        "profile": {"kind": "constant", "value": 0.9},
+        "t_span": [0.0, 2.0],
+        "samples": 41,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+}
+
+SWEEP = {
+    "task": "simulate",
+    "model": "dissipative",
+    "params": {"natural": {"friction": 0.3}},
+    "initial": {"sigma": 1.5},
+    "t_span": [0.0, 4.0],
+    "samples": 41,
+    "sweep": {"params.natural.friction": [0.1, 0.5, 1.0],
+              "initial.sigma": [0.8, 1.5]},
+}
+
+_RUNNER = ("import sys\n"
+           "from ermakov.cli import main\n"
+           "sys.exit(main(sys.argv[1:]))\n")
+
+
+def _commands(cfg_dir: Path):
+    """(label, argv) for every run, writing the configs into cfg_dir."""
+    cmds = []
+    for name, (command, payload) in CONFIGS.items():
+        path = cfg_dir / f"{name}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cmds.append((name, [command, "--config", str(path)]))
+    path = cfg_dir / "sweep.json"
+    path.write_text(json.dumps(SWEEP), encoding="utf-8")
+    for jobs in ("1", "4"):
+        cmds.append((f"sweep-jobs{jobs}",
+                     ["sweep", "--config", str(path), "--jobs", jobs]))
+    return cmds
+
+
+def _run_tree(src: Path, cmds, out_root: Path) -> dict:
+    """Run every command against one tree; returns label -> exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    codes = {}
+    for label, argv in cmds:
+        out = out_root / label
+        out.mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUNNER] + argv
+            + ["--out", str(out), "--quiet"],
+            env=env, capture_output=True, text=True)
+        codes[label] = proc.returncode
+    return codes
+
+
+def compare(old_src: Path, new_src: Path, work: Path) -> int:
+    cfg_dir = work / "configs"
+    cfg_dir.mkdir(parents=True)
+    cmds = _commands(cfg_dir)
+    old_codes = _run_tree(old_src, cmds, work / "old")
+    new_codes = _run_tree(new_src, cmds, work / "new")
+    bad = 0
+    for label, _ in cmds:
+        files = sorted(p.relative_to(work / "old" / label)
+                       for p in (work / "old" / label).rglob("*")
+                       if p.is_file())
+        if old_codes[label] != new_codes[label]:
+            print(f"DIFF {label}: exit {old_codes[label]} -> "
+                  f"{new_codes[label]}")
+            bad += 1
+        for rel in files:
+            a = (work / "old" / label / rel).read_bytes()
+            b_path = work / "new" / label / rel
+            same = b_path.is_file() and b_path.read_bytes() == a
+            print(f"{'same' if same else 'DIFF'} {label}/{rel} "
+                  f"({len(a)} bytes)")
+            bad += not same
+    print(f"{len(cmds)} runs, {bad} differences")
+    return 0 if bad == 0 else 1
+
+
+def main(argv) -> int:
+    if len(argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_src, new_src = Path(argv[0]), Path(argv[1])
+    if len(argv) == 3:
+        work = Path(argv[2])
+        work.mkdir(parents=True, exist_ok=False)
+        return compare(old_src, new_src, work)
+    with tempfile.TemporaryDirectory() as tmp:
+        return compare(old_src, new_src, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

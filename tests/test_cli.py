@@ -196,6 +196,40 @@ def test_sweep_jobs_deterministic(tmp_path):
         == (tmp_path / "parallel" / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_1(tmp_path, capsys, command, jobs):
+    cfg = _write_config(tmp_path, {
+        "task": "equilibrium",
+        "sweep": {"params.beta": [1.0, 2.0]},
+    })
+    argv = (["sweep", "--config", cfg] if command == "sweep"
+            else ["verify", "free-particle"])
+    rc = cli.main(argv + ["--jobs", jobs, "--out", str(tmp_path),
+                          "--quiet"])
+    assert rc == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_simulate_overflowing_initial_rate_exits_2(tmp_path):
+    # The first-step heuristic used to divide by a zero probe step here.
+    cfg = _write_config(tmp_path, {
+        "model": "conservative",
+        "initial": {"sigma": 1.0, "sigma_dot": 1e308},
+        "t_span": [0.0, 1.0],
+        "samples": 3,
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                       "--quiet"])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "step_underflow"
+    assert summary["t_reached"] == 0.0
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg = _free_config(tmp_path, integrator={"rel_tol_x": 1e-8})
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])

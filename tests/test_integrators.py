@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from ermakov import analytic, core, integrators
 from ermakov.core import PhysicalParams, State, State3
@@ -49,6 +50,74 @@ def test_sample_rejects_out_of_range():
         traj.sample([-0.1])
     with pytest.raises(ValueError, match="within"):
         traj.sample([2.0000001])
+    with pytest.raises(ValueError, match="within"):
+        traj.sample([1.0, math.nan])
+
+
+def _dense_grid(traj, count):
+    """A uniform grid over the run, every node time, both end points."""
+    lo, hi = traj.times[0], traj.times[-1]
+    return np.concatenate((np.linspace(lo, hi, count), traj.times,
+                           [lo, hi], traj.times[1:] - 1e-3 * np.diff(
+                               traj.times)))
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.CONSERVATIVE,
+                                     ModelVariant.DISSIPATIVE,
+                                     ModelVariant.RADIATIVE_NAIVE])
+def test_sample_matches_scalar_reference_bitwise(variant, scalar_sample):
+    params = PhysicalParams(b=0.5, r=0.01)
+    traj, _ = integrators.integrate(variant, State(1.3, 0.4), (0.0, 4.0),
+                                    params, IntegratorConfig(rel_tol=1e-8))
+    ts = _dense_grid(traj, 2001)
+    assert np.array_equal(traj.sample(ts), scalar_sample(traj, ts))
+    assert np.array_equal(traj.sample(traj.times), traj.states)
+
+
+def test_first_order_sample_matches_scalar_reference_bitwise(scalar_sample):
+    params = PhysicalParams(b=10.0)
+    traj, reason = integrators.integrate_overdamped(
+        ModelVariant.OVERDAMPED_DISSIPATIVE, 0.3, (0.0, 3.0), params, None)
+    assert reason is StopReason.COMPLETED
+    ts = _dense_grid(traj, 501)
+    assert np.array_equal(traj.sample(ts), scalar_sample(traj, ts))
+
+
+def test_single_node_run_samples_only_its_node():
+    # The first attempt fails at a coarse step floor: one node, no steps.
+    cfg = IntegratorConfig(rel_tol=1e-12, h_min=1.0, h_max=1.0)
+    traj, reason = integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(2.0, 0.3), (0.0, 10.0),
+        PhysicalParams(), cfg)
+    assert reason is StopReason.STEP_UNDERFLOW
+    assert traj.times.tolist() == [0.0]
+    assert traj.dense_coefficients.shape == (0, 5, 2)
+    assert np.array_equal(traj.sample([0.0, 0.0]),
+                          np.vstack([traj.states, traj.states]))
+    assert traj.sample([]).shape == (0, 2)
+    for t in (-1e-12, 1e-12, 10.0):
+        with pytest.raises(ValueError, match="within"):
+            traj.sample(t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma0=strategies.floats(0.2, 5.0),
+       rate0=strategies.floats(-2.0, 2.0),
+       t_end=strategies.floats(0.1, 8.0))
+def test_conservative_run_properties(sigma0, rate0, t_end):
+    params = PhysicalParams()
+    traj, reason = integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(sigma0, rate0), (0.0, t_end),
+        params, IntegratorConfig(rel_tol=1e-8))
+    assert reason is StopReason.COMPLETED
+    assert np.all(np.diff(traj.times) > 0.0)
+    assert traj.times[-1] == t_end
+    assert np.array_equal(traj.sample(traj.times), traj.states)
+    assert np.array_equal(traj.energy, [core.energy(row, params)
+                                        for row in traj.states])
+    assert np.allclose(traj.energy, [core.energy(State(s, sd), params)
+                                     for s, sd in traj.states],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_trajectory_energy_matches_functional():
@@ -225,6 +294,29 @@ def test_config_validation():
         IntegratorConfig(sigma_min_guard=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(runaway_ratio=1.0)
+
+
+def test_overflowing_initial_rate_starts_at_the_step_floor():
+    # f0 overflows the error scale, so the first-step heuristic has no
+    # usable estimate; it falls back to h_min instead of dividing by 0.
+    params = PhysicalParams()
+    cfg = IntegratorConfig()
+    y0 = np.array([1.0, 1e308])
+    f0 = np.array([1e308, -0.75])
+    with np.errstate(over="ignore"):
+        h = integrators._initial_step(lambda y: f0, y0, f0, 1.0, 5, cfg, 1)
+    assert h == cfg.h_min
+    # A probe that lands on a non-finite derivative does the same.
+    y0 = np.array([1.0, 0.0])
+    f0 = np.array([0.0, -0.75])
+    h = integrators._initial_step(lambda y: np.array([0.0, math.nan]), y0,
+                                  f0, 1.0, 5, cfg, 1)
+    assert h == cfg.h_min
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, reason = integrators.integrate(ModelVariant.CONSERVATIVE,
+                                          State(1.0, 1e308), (0.0, 1.0),
+                                          params, cfg)
+    assert reason is StopReason.STEP_UNDERFLOW
 
 
 def test_module_level_sample_wrapper():

@@ -277,6 +277,24 @@ def test_thermal_trajectory_sampling_and_field_roundtrip():
     assert np.max(np.abs(traj.sigma[-1] / start.sigma - 1.0)) < 5e-3
 
 
+def test_thermal_sample_matches_scalar_reference_bitwise(scalar_sample):
+    grid = BetaGrid.from_range(0.5, 4.0, 21)
+    start = ThermalField.at_rest(
+        grid, 1.05 * thermal.equilibrium_profile_coth(grid, P).sigma)
+    traj, reason = thermal.integrate_thermal(
+        ThermalVariant.INTEGRAL_FORM, start, (0.0, 2.0), P,
+        IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+    assert reason is StopReason.COMPLETED
+    ts = np.concatenate((np.linspace(0.0, 2.0, 501), traj.times,
+                         [0.0, 2.0]))
+    got = traj.sample(ts)
+    assert got.shape == (ts.size, 42)
+    assert np.array_equal(got, scalar_sample(traj, ts))
+    assert np.array_equal(traj.sample(traj.times), traj.states)
+    with pytest.raises(ValueError, match="within"):
+        traj.sample([2.0 + 1e-9])
+
+
 def test_stationary_profile_relaxes_residual():
     grid = BetaGrid.from_range(0.8, 3.0, 12)
     prof = thermal.stationary_profile(
