@@ -41,6 +41,8 @@ _SCHEMES = {
 }
 _MODEL_NAMES = {variant.value: variant for variant in ModelVariant}
 _THERMAL_NAMES = {variant.value: variant for variant in ThermalVariant}
+# Most rows one run may write to its CSV; every row is held in memory.
+_MAX_ROWS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -169,6 +171,8 @@ def _parse_samples(cfg: dict) -> int:
     samples = _integer(cfg.get("samples", 201), "samples")
     if samples < 2:
         raise ConfigError("samples must be at least 2")
+    if samples > _MAX_ROWS:
+        raise ConfigError(f"samples must be at most {_MAX_ROWS}")
     return samples
 
 
@@ -272,6 +276,10 @@ def _parse_thermal(cfg: dict) -> dict:
                      "grid.beta_count"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
+    samples = _parse_samples(cfg)
+    if samples * grid.count > _MAX_ROWS:
+        raise ConfigError(f"samples x grid.beta_count (the CSV rows) must "
+                          f"be at most {_MAX_ROWS}")
     params = _parse_params(cfg.get("params"))
     if params.is_zero_temperature:
         # The grid supplies per-node temperatures; the scalar slot only
@@ -283,7 +291,7 @@ def _parse_thermal(cfg: dict) -> dict:
         "grid": grid,
         "profile": _parse_profile(cfg.get("profile")),
         "t_span": _parse_span(_need(cfg, "t_span", "")),
-        "samples": _parse_samples(cfg),
+        "samples": samples,
         "integrator": _parse_integrator(cfg.get("integrator")),
         "output": _parse_output(cfg.get("output"), "thermal.csv"),
     }
@@ -311,6 +319,16 @@ _EQUILIBRIUM_HEADER = ("sigma_ground", "sigma_coth",
                        "sigma_high_temperature")
 
 
+def _sample_times(t0: float, traj, samples: int) -> np.ndarray:
+    """Output times over the span a run covered.
+
+    A run that stopped on its first attempt covers its start node alone,
+    which is written once.
+    """
+    t_last = float(traj.times[-1])
+    return np.linspace(t0, t_last, samples if t_last > t0 else 1)
+
+
 def _run_trajectory(parsed: dict):
     """Integrate one width model; returns (rows, trajectory, reason)."""
     t0, t1 = parsed["t_span"]
@@ -322,7 +340,7 @@ def _run_trajectory(parsed: dict):
         traj, reason = integrators.integrate(
             parsed["variant"], parsed["initial"], (t0, t1),
             parsed["params"], parsed["integrator"])
-    ts = np.linspace(t0, float(traj.times[-1]), parsed["samples"])
+    ts = _sample_times(t0, traj, parsed["samples"])
     got = traj.sample(ts)
     energy = core.energy(got, parsed["params"])
     rows = [(float(t), float(row[0]), float(row[1]), float(e))
@@ -359,7 +377,7 @@ def _run_thermal(parsed: dict):
     traj, reason = thermal.integrate_thermal(
         parsed["variant"], field0, (t0, t1), parsed["params"],
         parsed["integrator"])
-    ts = np.linspace(t0, float(traj.times[-1]), parsed["samples"])
+    ts = _sample_times(t0, traj, parsed["samples"])
     got = traj.sample(ts)
     nodes = grid.nodes
     n = grid.count
@@ -388,6 +406,12 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _chart_name(names: Dict[str, str], traj) -> Optional[str]:
+    """The requested SVG name, or None for a run that never advanced:
+    its one output time makes no line to draw."""
+    return names["svg"] if traj.times.size > 1 else None
+
+
 # ------------------------------------------------------------ commands
 
 def _cmd_simulate(args) -> int:
@@ -396,12 +420,13 @@ def _cmd_simulate(args) -> int:
     names = parsed["output"]
     csv_path = _out_path(args.out, names["csv"])
     output.write_csv(csv_path, _TRAJECTORY_HEADER, rows)
-    if names["svg"]:
+    svg_name = _chart_name(names, traj)
+    if svg_name:
         xs = np.array([r[0] for r in rows])
         svg = output.polyline_chart(
             xs, [("sigma", np.array([r[1] for r in rows]))],
             parsed["variant"].value, "t", "sigma")
-        _out_path(args.out, names["svg"]).write_text(svg, encoding="ascii")
+        _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
     summary = {
         "command": "simulate",
         "model": parsed["variant"].value,
@@ -410,7 +435,7 @@ def _cmd_simulate(args) -> int:
         "t_reached": float(traj.times[-1]),
         "rows": len(rows),
         "csv": names["csv"],
-        "svg": names["svg"],
+        "svg": svg_name,
         "sigma_final": rows[-1][1],
         "sigma_dot_final": rows[-1][2],
         "energy_final": rows[-1][3],
@@ -431,14 +456,15 @@ def _cmd_thermal(args) -> int:
     csv_path = _out_path(args.out, names["csv"])
     output.write_csv(csv_path, _THERMAL_HEADER, rows)
     grid = parsed["grid"]
-    if names["svg"]:
+    svg_name = _chart_name(names, traj)
+    if svg_name:
         ts = np.array(sorted({r[0] for r in rows}))
         sig = np.array([r[2] for r in rows]).reshape(ts.size, grid.count)
         picks = (0, grid.count // 2, grid.count - 1)
         series = [(f"beta={grid.nodes[j]:.5g}", sig[:, j]) for j in picks]
         svg = output.polyline_chart(ts, series, parsed["variant"].value,
                                     "t", "sigma")
-        _out_path(args.out, names["svg"]).write_text(svg, encoding="ascii")
+        _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
     summary = {
         "command": "thermal",
         "variant": parsed["variant"].value,
@@ -451,7 +477,7 @@ def _cmd_thermal(args) -> int:
         "profile": parsed["profile"]["kind"],
         "rows": len(rows),
         "csv": names["csv"],
-        "svg": names["svg"],
+        "svg": svg_name,
         "steps_accepted": traj.n_accepted,
         "steps_rejected": traj.n_rejected,
         "rhs_evaluations": traj.n_rhs,

@@ -223,10 +223,34 @@ def _fd_jacobian(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return jac
 
 
-def _newton(rhs: Callable[[np.ndarray], np.ndarray], mat: np.ndarray,
+def _dense_solver(rhs: Callable[[np.ndarray], np.ndarray]):
+    """Newton solver on the full matrix I - dh J, J by finite differences."""
+    def newton_solver(y: np.ndarray, f0: np.ndarray, dh: float):
+        mat = np.eye(y.size) - dh * _fd_jacobian(rhs, y, f0)
+        return lambda g: np.linalg.solve(mat, g)
+    return newton_solver
+
+
+def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
+                  g: np.ndarray) -> np.ndarray:
+    """Apply a Newton solver; a singular or non-finite solve is a bad step."""
+    try:
+        x = solve(g)
+    except np.linalg.LinAlgError as exc:
+        raise _BadStep from exc
+    if not np.all(np.isfinite(x)):
+        raise _BadStep
+    return x
+
+
+def _newton(rhs: Callable[[np.ndarray], np.ndarray],
+            solve: Callable[[np.ndarray], np.ndarray],
             target: np.ndarray, z0: np.ndarray, dh: float,
             scale: np.ndarray, nguard: int) -> np.ndarray:
-    """Solve z - dh f(z) = target by damped Newton with a frozen matrix."""
+    """Solve z - dh f(z) = target by damped Newton with a frozen matrix.
+
+    ``solve(g)`` returns x with (I - dh J) x = g for the step's frozen J.
+    """
     z = z0.copy()
     prev = math.inf
     for _ in range(12):
@@ -236,10 +260,7 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray], mat: np.ndarray,
         if not np.all(np.isfinite(f)):
             raise _BadStep
         g = z - dh * f - target
-        try:
-            dz = np.linalg.solve(mat, g)
-        except np.linalg.LinAlgError as exc:
-            raise _BadStep from exc
+        dz = _linear_solve(solve, g)
         dn = _rms(dz / scale)
         if dn > 2.0 * prev:
             dz *= 0.5
@@ -254,18 +275,21 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray], mat: np.ndarray,
 
 
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                    f0: np.ndarray, h: float, scale: np.ndarray, nguard: int):
-    """One TR-BDF2 step attempt.  Returns (y1, f1, err_vec, dense_coeffs)."""
-    dim = y.size
+                    f0: np.ndarray, h: float, scale: np.ndarray, nguard: int,
+                    newton_solver):
+    """One TR-BDF2 step attempt.  Returns (y1, f1, err_vec, dense_coeffs).
+
+    ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
+    that every Newton iteration and the error filter of the step use.
+    """
     dh = _TB_D * h
-    jac = _fd_jacobian(rhs, y, f0)
-    mat = np.eye(dim) - dh * jac
+    solve = newton_solver(y, f0, dh)
     # Trapezoidal stage to t + gamma h.
     target = y + dh * f0
     z_pred = y + _TB_GAMMA * h * f0
     if np.min(z_pred[:nguard]) <= 0.0:
         z_pred = y.copy()
-    z = _newton(rhs, mat, target, z_pred, dh, scale, nguard)
+    z = _newton(rhs, solve, target, z_pred, dh, scale, nguard)
     f_mid = rhs(z)
     # BDF2 stage to t + h, eliminating the history in favour of z.
     cz = 0.5 * (math.sqrt(2.0) + 1.0)
@@ -274,13 +298,13 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     y_pred = z + (1.0 - _TB_GAMMA) * h * f_mid
     if np.min(y_pred[:nguard]) <= 0.0:
         y_pred = z.copy()
-    y1 = _newton(rhs, mat, target, y_pred, dh, scale, nguard)
+    y1 = _newton(rhs, solve, target, y_pred, dh, scale, nguard)
     f1 = rhs(y1)
     if not np.all(np.isfinite(f1)):
         raise _BadStep
     raw = (h / 3.0) * (_TB_E0 * f0 + f_mid + _TB_E2 * f1)
     # Filter the companion difference so stiff components do not dominate.
-    err_vec = np.linalg.solve(mat, raw)
+    err_vec = _linear_solve(solve, raw)
     return y1, f1, err_vec, _hermite_coeffs(y, f0, y1, f1, h)
 
 
@@ -377,11 +401,16 @@ def sample(trajectory: Trajectory, times) -> np.ndarray:
 def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
            t_span: tuple, config: IntegratorConfig,
            runaway_scale: Optional[float] = None,
-           runaway_window: Optional[float] = None, nguard: int = 1):
+           runaway_window: Optional[float] = None, nguard: int = 1,
+           newton_solver=None):
     """Shared adaptive loop.
 
-    Returns (fields, reason): ``fields`` maps the trajectory field names
-    (node arrays, dense coefficients and counters) to their values.
+    ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns a
+    function that solves (I - dh J(y)) x = g, J the Jacobian of ``rhs``.
+    Without one, TR-BDF2 forms I - dh J from a finite-difference
+    Jacobian at every attempt.  Returns (fields, reason): ``fields`` maps
+    the trajectory field names (node arrays, dense coefficients and
+    counters) to their values.
     """
     t0, t_end = t_span
     explicit = config.scheme is Scheme.DOPRI54
@@ -390,6 +419,9 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     def counted(y: np.ndarray) -> np.ndarray:
         nfev[0] += 1
         return rhs(y)
+
+    if newton_solver is None:
+        newton_solver = _dense_solver(counted)
 
     f0 = counted(y0)
     if not np.all(np.isfinite(f0)):
@@ -433,7 +465,7 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
             else:
                 scale_n = config.abs_tol + config.rel_tol * np.abs(y)
                 y1, f1, err_vec, coeffs = _trbdf2_attempt(
-                    counted, y, f0, h_att, scale_n, nguard)
+                    counted, y, f0, h_att, scale_n, nguard, newton_solver)
         except _FloorBreach:
             if at_floor:
                 reason = StopReason.SIGMA_GUARD_HIT

@@ -53,10 +53,27 @@ def read_csv(path) -> Tuple[List[str], np.ndarray]:
     return header, data
 
 
+def _json_safe(value):
+    """Non-finite floats as the CSV spells them; containers recursively."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return format_float(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def write_json(path, payload: Dict) -> None:
-    """Write a JSON document with sorted keys and a trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n", encoding="ascii")
+    """Write a JSON document with sorted keys and a trailing newline.
+
+    The document is standard JSON: a non-finite float is written as the
+    string "inf", "-inf" or "nan", the spelling ``format_float`` gives
+    it in CSV files.
+    """
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 # ------------------------------------------------------------------ SVG

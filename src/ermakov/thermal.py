@@ -21,6 +21,12 @@ integral form converges at second order in the node spacing.
 The inverse temperatures are supplied by the grid.  The ``beta`` entry
 of the physical parameter set is not consulted here; it only matters to
 the single-temperature models.
+
+On the implicit TR-BDF2 scheme, ``integrate_thermal`` hands the driver
+a Newton solver built on ``acceleration_jacobian``, the analytic
+Jacobian of the field, and reduces each Newton system to one n x n
+solve (a Schur complement on the second-order block structure).  The
+scalar width models keep the driver's finite-difference Jacobian.
 """
 
 import math
@@ -218,6 +224,91 @@ def acceleration_field(variant: ThermalVariant, sigma: np.ndarray,
     raise ValueError(f"unknown thermal variant: {variant!r}")
 
 
+def _slope_stencil(grid: BetaGrid) -> np.ndarray:
+    """(n, n) matrix D with D @ v equal to ``beta_derivative(v, grid)``."""
+    n = grid.count
+    w = 1.0 / (2.0 * grid.delta)
+    d = np.zeros((n, n))
+    inner = np.arange(1, n - 1)
+    d[inner, inner + 1] = w
+    d[inner, inner - 1] = -w
+    d[0, :3] = (-3.0 * w, 4.0 * w, -w)
+    d[-1, -3:] = (w, -4.0 * w, 3.0 * w)
+    return d
+
+
+def _trapezoid_weights(grid: BetaGrid) -> np.ndarray:
+    """(n, n) matrix W with W @ g the running trapezoid integral of g."""
+    w = np.tril(np.full((grid.count, grid.count), grid.delta))
+    w[:, 0] *= 0.5
+    np.fill_diagonal(w, 0.5 * grid.delta)
+    w[0] = 0.0
+    return w
+
+
+def acceleration_jacobian(variant: ThermalVariant, sigma: np.ndarray,
+                          grid: BetaGrid,
+                          params: PhysicalParams) -> np.ndarray:
+    """Analytic (n, n) Jacobian of ``acceleration_field`` in the widths.
+
+    Entry (j, k) is the derivative of the acceleration at node j with
+    respect to the width at node k.  The slope form couples each node to
+    the nodes of its slope stencil, so its matrix is banded with
+    three-point rows at the edges.  The integral form couples each node
+    to every hotter node through the running integral, so its matrix is
+    lower triangular; the hot-region closure does not depend on the
+    field and adds nothing.  The derivative in the width rates is the
+    friction rate -b/m on the diagonal for both variants.
+    """
+    sig = np.asarray(sigma, dtype=float)
+    if variant is ThermalVariant.BETA_DERIVATIVE:
+        slope = beta_derivative(sig, grid)
+        diag = (-params.omega0 ** 2
+                - 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * sig ** 4)
+                + 4.0 * slope / (params.m * sig ** 3))
+        jac = (-2.0 / (params.m * np.square(sig)))[:, None] \
+            * _slope_stencil(grid)
+    elif variant is ThermalVariant.INTEGRAL_FORM:
+        integral = cumulative_quantum_integral(sig, grid, params)
+        coef = 1.0 / (params.m * grid.nodes)
+        diag = -params.omega0 ** 2 + coef * (integral - 1.0 / np.square(sig))
+        g_prime = -params.hbar ** 2 / (params.m * sig ** 5)
+        jac = (coef * sig)[:, None] * _trapezoid_weights(grid) * g_prime
+    else:
+        raise ValueError(f"unknown thermal variant: {variant!r}")
+    jac[np.diag_indices_from(jac)] += diag
+    return jac
+
+
+def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
+                  params: PhysicalParams):
+    """Newton solver for the stacked [widths, width rates] system.
+
+    The Jacobian of the stacked right-hand side is [[0, I], [A, -c I]]
+    with A = ``acceleration_jacobian`` and c = b/m, so the Newton system
+    (I - dh J) [x; v] = [g1; g2] reduces to one n x n solve,
+    ((1 + dh c) I - dh^2 A) x = (1 + dh c) g1 + dh g2, followed by
+    v = (g2 + dh A x) / (1 + dh c).  Called as ``newton_solver(y, f0, dh)``
+    by the adaptive driver.
+    """
+    n = grid.count
+    c = params.b / params.m
+
+    def newton_solver(y: np.ndarray, f0: np.ndarray, dh: float):
+        a = acceleration_jacobian(variant, y[:n], grid, params)
+        damp = 1.0 + dh * c
+        mat = -dh * dh * a
+        mat[np.diag_indices(n)] += damp
+
+        def solve(g: np.ndarray) -> np.ndarray:
+            x = np.linalg.solve(mat, damp * g[:n] + dh * g[n:])
+            return np.concatenate((x, (g[n:] + dh * (a @ x)) / damp))
+
+        return solve
+
+    return newton_solver
+
+
 def equilibrium_profile_coth(grid: BetaGrid,
                              params: PhysicalParams) -> ThermalField:
     """Canonical equilibrium field, at rest, over the grid nodes."""
@@ -306,7 +397,9 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
             variant, y[:n], y[n:], grid, params)))
 
     y0 = np.concatenate((initial.sigma, initial.sigma_dot))
-    fields, reason = _drive(rhs, y0, (t0, t1), config, nguard=n)
+    fields, reason = _drive(rhs, y0, (t0, t1), config, nguard=n,
+                            newton_solver=_schur_solver(variant, grid,
+                                                        params))
     return ThermalTrajectory(variant=variant, params=params, grid=grid,
                              **fields), reason
 

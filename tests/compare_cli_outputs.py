@@ -1,9 +1,13 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for four width models, thermal for
-both field variants, and a simulate sweep at ``--jobs 1`` and
-``--jobs 4``) once against each tree, each in a fresh interpreter, and
-compares every CSV and ``summary.json`` byte for byte.
+the integral form on both schemes and the slope form on TR-BDF2, and a
+simulate sweep at ``--jobs 1`` and ``--jobs 4``) once against each
+tree, each in a fresh interpreter, and compares every CSV and
+``summary.json`` byte for byte.  For a CSV that differs it prints how
+many data rows differ and the largest absolute and relative cell
+difference; for a ``summary.json`` that differs, the keys whose values
+differ.
 
 Usage::
 
@@ -66,6 +70,15 @@ CONFIGS = {
         "samples": 41,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
     }),
+    "thermal-integral-implicit": ("thermal", {
+        "variant": "integral-form",
+        "params": {"natural": {"friction": 10.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 4.0, "beta_count": 21},
+        "profile": {"kind": "scaled-coth", "factor": 1.2},
+        "t_span": [0.0, 4.0],
+        "samples": 41,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
 }
 
 SWEEP = {
@@ -114,6 +127,38 @@ def _run_tree(src: Path, cmds, out_root: Path) -> dict:
     return codes
 
 
+def _csv_cells(data: bytes) -> list:
+    return [line.split(",") for line in data.decode("ascii").splitlines()]
+
+
+def _describe_csv(a: bytes, b: bytes) -> str:
+    """Differing data rows and the largest cell differences of two CSVs."""
+    old, new = _csv_cells(a), _csv_cells(b)
+    if old[:1] != new[:1] or len(old) != len(new):
+        return (f"header or row count differs: {len(old) - 1} -> "
+                f"{len(new) - 1} data rows")
+    rows, abs_max, rel_max = 0, 0.0, 0.0
+    for row_a, row_b in zip(old[1:], new[1:]):
+        if row_a == row_b:
+            continue
+        rows += 1
+        for x, y in zip(map(float, row_a), map(float, row_b)):
+            if x == y:
+                continue
+            diff = abs(x - y)
+            abs_max = max(abs_max, diff)
+            rel_max = max(rel_max, diff / max(abs(x), abs(y)))
+    return (f"{rows} of {len(old) - 1} data rows differ, max abs "
+            f"{abs_max:.3e}, max rel {rel_max:.3e}")
+
+
+def _describe_json(a: bytes, b: bytes) -> str:
+    """Keys whose values differ between two JSON documents."""
+    old, new = json.loads(a), json.loads(b)
+    keys = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
+    return "keys differ: " + ", ".join(keys)
+
+
 def compare(old_src: Path, new_src: Path, work: Path) -> int:
     cfg_dir = work / "configs"
     cfg_dir.mkdir(parents=True)
@@ -135,6 +180,10 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
             same = b_path.is_file() and b_path.read_bytes() == a
             print(f"{'same' if same else 'DIFF'} {label}/{rel} "
                   f"({len(a)} bytes)")
+            if not same and b_path.is_file():
+                describe = (_describe_csv if rel.suffix == ".csv"
+                            else _describe_json)
+                print(f"    {describe(a, b_path.read_bytes())}")
             bad += not same
     print(f"{len(cmds)} runs, {bad} differences")
     return 0 if bad == 0 else 1

@@ -225,9 +225,77 @@ def test_simulate_overflowing_initial_rate_exits_2(tmp_path):
         rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
                        "--quiet"])
     assert rc == 2
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
     assert summary["stop_reason"] == "step_underflow"
     assert summary["t_reached"] == 0.0
+    assert summary["energy_final"] == "inf"
+    # The run never left its start node, which is written once.
+    assert summary["rows"] == 1
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[1:] == ["0,1,1e+308,inf"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_spells_non_finite_floats_as_strings(tmp_path):
+    payload = {"a": math.inf, "b": [1.5, -math.inf, (np.float64("nan"),)],
+               "c": {"d": 2.0, "e": None, "f": "inf"}}
+    output.write_json(tmp_path / "s.json", payload)
+    got = json.loads((tmp_path / "s.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert got == {"a": "inf", "b": [1.5, "-inf", ["nan"]],
+                   "c": {"d": 2.0, "e": None, "f": "inf"}}
+    finite = {"x": [0.1, 2, (3.0, -4.5)], "y": {"z": 1e-300}, "s": "t"}
+    output.write_json(tmp_path / "f.json", finite)
+    assert (tmp_path / "f.json").read_text() == json.dumps(
+        finite, indent=2, sort_keys=True) + "\n"
+
+
+def test_thermal_run_stopped_at_start_writes_each_node_once(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "variant": "integral-form",
+        "params": {"b": 80.0},
+        "grid": {"beta_min": 0.8, "beta_max": 2.4, "beta_count": 5},
+        "profile": {"kind": "constant", "value": 0.3},
+        "t_span": [0.0, 5.0],
+        "samples": 7,
+        "integrator": {"h_min": 1.0},
+        "output": {"svg": "thermal.svg"},
+    })
+    rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["steps_accepted"] == 0
+    assert summary["rows"] == 5
+    assert summary["svg"] is None
+    _, data = output.read_csv(tmp_path / "thermal.csv")
+    assert data.shape == (5, 4)
+    assert np.all(data[:, 0] == 0.0)
+    assert np.array_equal(data[:, 1], np.linspace(0.8, 2.4, 5))
+    assert not (tmp_path / "thermal.svg").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("simulate", {"model": "conservative", "initial": {"sigma": 1.0},
+                  "t_span": [0.0, 1.0], "samples": 1_000_001},
+     "samples must be at most 1000000"),
+    ("thermal", {"variant": "integral-form",
+                 "grid": {"beta_min": 0.5, "beta_max": 2.0,
+                          "beta_count": 11},
+                 "t_span": [0.0, 1.0], "samples": 100_000},
+     "samples x grid.beta_count (the CSV rows) must be at most 1000000"),
+])
+def test_samples_bound_exits_1(tmp_path, capsys, command, payload,
+                               message):
+    cfg = _write_config(tmp_path, payload)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):

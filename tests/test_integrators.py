@@ -217,6 +217,36 @@ def test_implicit_scheme_matches_explicit():
     assert np.max(np.abs(te.sample(ts)[:, 0] - ti.sample(ts)[:, 0])) < 1e-6
 
 
+def _singular_solver(y, f0, dh):
+    return lambda g: np.linalg.solve(np.zeros((g.size, g.size)), g)
+
+
+def _nan_solver(y, f0, dh):
+    return lambda g: np.full_like(g, np.nan)
+
+
+def _inf_solver(y, f0, dh):
+    return lambda g: np.full_like(g, np.inf)
+
+
+@pytest.mark.parametrize("newton_solver",
+                         [_singular_solver, _nan_solver, _inf_solver])
+def test_failed_newton_solves_end_in_step_underflow(newton_solver):
+    # A singular or non-finite solve is a bad step: halve, then stop at
+    # the step floor, never raise.  An infinite Newton update must not
+    # pass for a width crossing the floor (SIGMA_GUARD_HIT).
+    def rhs(y):
+        return np.array([y[1], -y[0]])
+
+    cfg = IntegratorConfig(scheme=Scheme.TRBDF2, h_init=0.1, h_min=1e-3)
+    fields, reason = integrators._drive(rhs, np.array([1.0, 0.0]),
+                                        (0.0, 1.0), cfg,
+                                        newton_solver=newton_solver)
+    assert reason is StopReason.STEP_UNDERFLOW
+    assert fields["n_accepted"] == 0
+    assert fields["n_rejected"] > 0
+
+
 def test_stiff_friction_warns_on_explicit_scheme():
     params = PhysicalParams(b=50.0)
     with pytest.warns(RuntimeWarning, match="friction"):

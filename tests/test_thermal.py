@@ -6,7 +6,7 @@ import pytest
 
 from ermakov import analytic, thermal
 from ermakov.core import PhysicalParams
-from ermakov.integrators import IntegratorConfig, StopReason
+from ermakov.integrators import IntegratorConfig, Scheme, StopReason
 from ermakov.thermal import BetaGrid, ThermalField, ThermalVariant
 
 P = PhysicalParams(beta=2.0)
@@ -235,6 +235,8 @@ def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="unknown thermal variant"):
         thermal.acceleration_field("integral", np.ones(5), np.zeros(5),
                                    grid, P)
+    with pytest.raises(ValueError, match="unknown thermal variant"):
+        thermal.acceleration_jacobian("integral", np.ones(5), grid, P)
 
 
 def test_integrate_thermal_validation():
@@ -293,6 +295,103 @@ def test_thermal_sample_matches_scalar_reference_bitwise(scalar_sample):
     assert np.array_equal(traj.sample(traj.times), traj.states)
     with pytest.raises(ValueError, match="within"):
         traj.sample([2.0 + 1e-9])
+
+
+# Non-unit mass and hbar, so a misplaced power of either shows.
+P_JAC = PhysicalParams(m=1.7, hbar=0.8, omega0=1.3, b=2.5, beta=2.0)
+
+
+def _perturbed_widths(grid, seed):
+    base = thermal.equilibrium_profile_coth(grid, P_JAC).sigma
+    rng = np.random.default_rng(seed)
+    return base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, grid.count))
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+@pytest.mark.parametrize("count", [5, 21])
+def test_acceleration_jacobian_matches_central_difference(variant, count):
+    grid = BetaGrid.from_range(0.5, 4.0, count)
+    sig = _perturbed_widths(grid, count)
+    vel = np.linspace(-0.3, 0.2, count)
+    jac = thermal.acceleration_jacobian(variant, sig, grid, P_JAC)
+    assert jac.shape == (count, count)
+    ref = np.empty((count, count))
+    for k in range(count):
+        step = 1e-6 * sig[k]
+        up, down = sig.copy(), sig.copy()
+        up[k] += step
+        down[k] -= step
+        ref[:, k] = (thermal.acceleration_field(variant, up, vel, grid, P_JAC)
+                     - thermal.acceleration_field(variant, down, vel, grid,
+                                                  P_JAC)) / (2.0 * step)
+    # Row by row, so the one-sided edge rows are held to the same bound.
+    row_err = (np.max(np.abs(jac - ref), axis=1)
+               / np.max(np.abs(ref), axis=1))
+    assert np.max(row_err) <= 1e-6
+    if variant is ThermalVariant.BETA_DERIVATIVE:
+        j, k = np.indices(jac.shape)
+        stencil = (np.abs(j - k) <= 1) | ((j == 0) & (k == 2)) \
+            | ((j == count - 1) & (k == count - 3))
+        assert np.all(jac[~stencil] == 0.0)
+    else:
+        assert np.all(np.triu(jac, 1) == 0.0)
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_schur_solver_matches_full_newton_matrix(variant):
+    count = 21
+    grid = BetaGrid.from_range(0.5, 4.0, count)
+    sig = _perturbed_widths(grid, 7)
+    y = np.concatenate((sig, np.zeros(count)))
+    a = thermal.acceleration_jacobian(variant, sig, grid, P_JAC)
+    c = P_JAC.b / P_JAC.m
+    jac = np.block([[np.zeros((count, count)), np.eye(count)],
+                    [a, -c * np.eye(count)]])
+    newton_solver = thermal._schur_solver(variant, grid, P_JAC)
+    rng = np.random.default_rng(3)
+    for dh in (1e-4, 0.05, 2.0):
+        solve = newton_solver(y, None, dh)
+        for _ in range(3):
+            g = rng.standard_normal(2 * count)
+            ref = np.linalg.solve(np.eye(2 * count) - dh * jac, g)
+            got = solve(g)
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-12 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_trbdf2_field_rhs_calls_equal_n_rhs(monkeypatch, variant):
+    # The Jacobian must not evaluate the field outside the counted rhs.
+    calls = [0]
+    original = thermal.acceleration_field
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "acceleration_field", counted)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    params = P.with_(b=10.0)
+    start = ThermalField.at_rest(
+        grid, 1.1 * thermal.equilibrium_profile_coth(grid, params).sigma)
+    traj, reason = thermal.integrate_thermal(
+        variant, start, (0.0, 1.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11))
+    assert reason is StopReason.COMPLETED
+    assert traj.n_accepted > 10
+    assert calls[0] == traj.n_rhs
+
+
+def test_slope_form_hold_needs_few_rhs_per_step():
+    # A finite-difference Jacobian would cost 142 rhs per step here.
+    params = P.with_(b=80.0)
+    grid = BetaGrid.from_range(0.5, 4.0, 71)
+    start = thermal.equilibrium_profile_coth(grid, params)
+    traj, reason = thermal.integrate_thermal(
+        ThermalVariant.BETA_DERIVATIVE, start, (0.0, 10.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9, abs_tol=1e-12))
+    assert reason is StopReason.COMPLETED
+    assert traj.n_rhs / traj.n_accepted <= 15.0
 
 
 def test_stationary_profile_relaxes_residual():
