@@ -12,6 +12,7 @@ analytic time derivative so trajectory-level comparisons can use the full
 state.
 """
 
+import functools
 import math
 
 from .core import PhysicalParams, State
@@ -127,6 +128,24 @@ def subdiffusion(t: float, params: PhysicalParams) -> State:
     return State(sigma=sigma, sigma_dot=d_sigma_sq / (2.0 * sigma))
 
 
+def _in_float_range(closed_form):
+    """Raise ValueError where an equilibrium closed form leaves the float
+    range: an overflow, a division by an underflowed zero, or a result
+    that is not finite."""
+    @functools.wraps(closed_form)
+    def checked(params: PhysicalParams) -> float:
+        try:
+            value = closed_form(params)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{closed_form.__name__} leaves the float range "
+                             f"for these parameters")
+        return value
+    return checked
+
+
+@_in_float_range
 def equilibrium_coth(params: PhysicalParams) -> float:
     """Thermal equilibrium width squared (hbar/(2 m omega0)) coth(beta hbar omega0 / 2)."""
     if params.is_zero_temperature:
@@ -137,6 +156,7 @@ def equilibrium_coth(params: PhysicalParams) -> float:
     return params.hbar / (2.0 * params.m * params.omega0) / math.tanh(u)
 
 
+@_in_float_range
 def equilibrium_high_temperature(params: PhysicalParams) -> float:
     """Stationary width squared of the high-temperature model:
 

@@ -41,8 +41,12 @@ _SCHEMES = {
 }
 _MODEL_NAMES = {variant.value: variant for variant in ModelVariant}
 _THERMAL_NAMES = {variant.value: variant for variant in ThermalVariant}
-# Most rows one run may write to its CSV; every row is held in memory.
+# Most rows one run or one sweep may write to its CSV; every row is held
+# in memory.
 _MAX_ROWS = 1_000_000
+# Most thermal grid nodes: TR-BDF2 builds dense (n, n) matrices, 32 MB
+# each at this size.
+_MAX_NODES = 2000
 
 
 class ConfigError(ValueError):
@@ -218,12 +222,15 @@ def _parse_simulate(cfg: dict) -> dict:
                                      "initial.sigma_ddot"))
         else:
             initial = State(sigma, sigma_dot)
+    t_span = _parse_span(_need(cfg, "t_span", ""))
+    samples = _parse_samples(cfg)
     return {
         "variant": variant,
         "params": params,
         "initial": initial,
-        "t_span": _parse_span(_need(cfg, "t_span", "")),
-        "samples": _parse_samples(cfg),
+        "t_span": t_span,
+        "samples": samples,
+        "rows": samples,
         "integrator": _parse_integrator(cfg.get("integrator")),
         "output": _parse_output(cfg.get("output"), "trajectory.csv"),
     }
@@ -276,6 +283,8 @@ def _parse_thermal(cfg: dict) -> dict:
                      "grid.beta_count"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
+    if grid.count > _MAX_NODES:
+        raise ConfigError(f"grid.beta_count must be at most {_MAX_NODES}")
     samples = _parse_samples(cfg)
     if samples * grid.count > _MAX_ROWS:
         raise ConfigError(f"samples x grid.beta_count (the CSV rows) must "
@@ -292,6 +301,7 @@ def _parse_thermal(cfg: dict) -> dict:
         "profile": _parse_profile(cfg.get("profile")),
         "t_span": _parse_span(_need(cfg, "t_span", "")),
         "samples": samples,
+        "rows": samples * grid.count,
         "integrator": _parse_integrator(cfg.get("integrator")),
         "output": _parse_output(cfg.get("output"), "thermal.csv"),
     }
@@ -307,6 +317,7 @@ def _parse_equilibrium(cfg: dict) -> dict:
         raise ConfigError("equilibrium closed forms need params.omega0 > 0")
     return {
         "params": params,
+        "rows": 1,
         "output": _parse_output(cfg.get("output"), "equilibrium.csv"),
     }
 
@@ -389,10 +400,14 @@ def _run_thermal(parsed: dict):
     return rows, traj, reason
 
 
-def _run_equilibrium(params: PhysicalParams) -> Tuple[float, float, float]:
-    return (core.ground_state_sigma(params),
-            math.sqrt(analytic.equilibrium_coth(params)),
-            math.sqrt(analytic.equilibrium_high_temperature(params)))
+def _run_equilibrium(parsed: dict):
+    """The closed-form widths; returns (rows, None, reason) like the
+    integrating tasks."""
+    params = parsed["params"]
+    row = (core.ground_state_sigma(params),
+           math.sqrt(analytic.equilibrium_coth(params)),
+           math.sqrt(analytic.equilibrium_high_temperature(params)))
+    return [row], None, StopReason.COMPLETED
 
 
 def _out_path(out_dir: str, name: str) -> Path:
@@ -490,7 +505,7 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     parsed = _parse_equilibrium(_load_config(args.config))
-    row = _run_equilibrium(parsed["params"])
+    row = _run_equilibrium(parsed)[0][0]
     for name, value in zip(_EQUILIBRIUM_HEADER, row):
         _say(args.quiet, f"{name} = {output.format_float(value)}")
     names = parsed["output"]
@@ -519,7 +534,14 @@ def _set_by_path(cfg: dict, path: str, value: float) -> None:
     node[parts[-1]] = value
 
 
-_SWEEP_TASKS = ("simulate", "thermal", "equilibrium")
+# task -> (parse, run, header); run(parsed) returns (rows, trajectory,
+# reason), and every parsed config carries its CSV row count as "rows".
+_SWEEP_TASKS = {
+    "simulate": (_parse_simulate, _run_trajectory, _TRAJECTORY_HEADER),
+    "thermal": (_parse_thermal, _run_thermal, _THERMAL_HEADER),
+    "equilibrium": (_parse_equilibrium, _run_equilibrium,
+                    _EQUILIBRIUM_HEADER),
+}
 
 
 def _cmd_sweep(args) -> int:
@@ -527,8 +549,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("jobs must be at least 1")
     cfg = _load_config(args.config)
     task = _need(cfg, "task", "")
-    if task not in _SWEEP_TASKS:
+    if not isinstance(task, str) or task not in _SWEEP_TASKS:
         raise ConfigError("task must be one of " + ", ".join(_SWEEP_TASKS))
+    parse, run, header = _SWEEP_TASKS[task]
     sweep_obj = _mapping(_need(cfg, "sweep", ""), "sweep")
     if not 1 <= len(sweep_obj) <= 2:
         raise ConfigError("sweep takes one or two swept parameters")
@@ -543,33 +566,28 @@ def _cmd_sweep(args) -> int:
     base = {k: v for k, v in cfg.items()
             if k not in ("task", "sweep", "output")}
 
+    # Every point writes at least one row.
+    if math.prod(len(grid) for grid in grids) > _MAX_ROWS:
+        raise ConfigError(f"a sweep may have at most {_MAX_ROWS} points")
     points = list(itertools.product(*grids))
-
-    def run_point(point):
+    parsed_points = []
+    for point in points:
         local = copy.deepcopy(base)
         for name, value in zip(names, point):
             _set_by_path(local, name, value)
-        if task == "simulate":
-            parsed = _parse_simulate(local)
-            rows, _, reason = _run_trajectory(parsed)
-        elif task == "thermal":
-            parsed = _parse_thermal(local)
-            rows, _, reason = _run_thermal(parsed)
-        else:
-            parsed = _parse_equilibrium(local)
-            rows = [_run_equilibrium(parsed["params"])]
-            reason = StopReason.COMPLETED
-        return [tuple(point) + tuple(row) for row in rows], reason
+        parsed_points.append(parse(local))
+    total = sum(parsed["rows"] for parsed in parsed_points)
+    if total > _MAX_ROWS:
+        raise ConfigError(f"the sweep's points would write {total} rows; "
+                          f"at most {_MAX_ROWS} are allowed")
 
     # --jobs is validated but the points run serially, in sweep order.
-    outcomes = [run_point(point) for point in points]
+    outcomes = []
+    for point, parsed in zip(points, parsed_points):
+        rows, _, reason = run(parsed)
+        outcomes.append(([point + tuple(row) for row in rows], reason))
 
-    if task == "simulate":
-        header = tuple(names) + _TRAJECTORY_HEADER
-    elif task == "thermal":
-        header = tuple(names) + _THERMAL_HEADER
-    else:
-        header = tuple(names) + _EQUILIBRIUM_HEADER
+    header = tuple(names) + header
     rows = [row for block, _ in outcomes for row in block]
     csv_path = _out_path(args.out, out_names["csv"])
     output.write_csv(csv_path, header, rows)
@@ -601,8 +619,10 @@ def _cmd_verify(args) -> int:
         raise ConfigError(str(exc))
     for result in report.results:
         mark = "PASS" if result.passed else "FAIL"
+        criterion = (f"bound {result.tolerance:.3e}" if result.lower is None
+                     else f"band [{result.lower:.3e}, {result.tolerance:.3e}]")
         line = (f"{mark} {result.name}: measured {result.measured:.3e}, "
-                f"bound {result.tolerance:.3e}")
+                f"{criterion}")
         if not result.passed and result.detail:
             line += f" ({result.detail})"
         _say(args.quiet, line)

@@ -22,6 +22,9 @@ ELECTRON_MASS = 9.1093837015e-31  # kg
 ZERO_TEMPERATURE = math.inf
 """Explicit zero-temperature marker for ``PhysicalParams.beta``."""
 
+# Largest m, omega0, hbar, b, k_B or r: its square stays a finite float.
+_MAX_PARAMETER = 1e150
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -50,6 +53,12 @@ class PhysicalParams:
             value = getattr(self, name)
             if not (value >= 0.0) or math.isinf(value) or math.isnan(value):
                 raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        # The models square these on Python floats, where an overflow
+        # raises instead of giving inf.
+        for name in ("m", "hbar", "k_B", "omega0", "b", "r"):
+            if getattr(self, name) > _MAX_PARAMETER:
+                raise ValueError(f"{name} must be at most {_MAX_PARAMETER:g}, "
+                                 f"got {getattr(self, name)!r}")
         if math.isnan(self.beta) or not (self.beta > 0.0):
             raise ValueError(
                 f"beta must be positive (ZERO_TEMPERATURE for the T = 0 limit), got {self.beta!r}"
@@ -64,7 +73,8 @@ class PhysicalParams:
         """b / (m * omega0); inf for a damped free particle (omega0 = 0)."""
         if self.b == 0.0:
             return 0.0
-        if self.omega0 == 0.0:
+        # m * omega0 is 0 also when the product underflows.
+        if self.m * self.omega0 == 0.0:
             return math.inf
         return self.b / (self.m * self.omega0)
 
@@ -124,6 +134,8 @@ def ground_state_sigma(params: PhysicalParams) -> float:
     """Equilibrium width sqrt(hbar / (2 m omega0)) of the conservative model."""
     if params.omega0 == 0.0:
         raise ValueError("ground-state width requires omega0 > 0")
+    if 2.0 * params.m * params.omega0 == 0.0:
+        raise ValueError("ground-state width: m * omega0 underflows to 0")
     return math.sqrt(params.hbar / (2.0 * params.m * params.omega0))
 
 

@@ -381,7 +381,7 @@ class Trajectory:
         if self.first_order:
             for row in np.flatnonzero(between):
                 out[row, 1] = models.overdamped_velocity(
-                    float(out[row, 0]), self.params, self.variant)
+                    out[row, 0], self.params, self.variant)
         return out
 
     def state_at(self, t: float):
@@ -602,9 +602,8 @@ def integrate(variant: ModelVariant, initial, t_span,
             y0 = np.array([initial.sigma, initial.sigma_dot,
                            initial.sigma_ddot])
         else:
-            y0 = np.array([initial.sigma, initial.sigma_dot,
-                           models.conservative_acceleration(initial.sigma,
-                                                            params)])
+            y0 = np.array([initial.sigma, initial.sigma_dot, 0.0])
+            y0[2] = models.conservative_acceleration(y0[0], params)
     else:
         if isinstance(initial, State3):
             raise ValueError("second-order variants take a two-component "
@@ -630,12 +629,12 @@ def integrate(variant: ModelVariant, initial, t_span,
             st = State3(sigma=y[0], sigma_dot=y[1], sigma_ddot=y[2])
             return np.array([y[1], y[2], models.radiative_jerk(st, params)])
 
-        state0 = State3(sigma=float(y0[0]), sigma_dot=float(y0[1]),
-                        sigma_ddot=float(y0[2]))
-        base_scale = (params.omega0 ** 2 * state0.sigma
+        # numpy scalars: an overflow gives inf instead of raising
+        sigma0, accel0 = y0[0], y0[2]
+        base_scale = (params.omega0 ** 2 * sigma0
                       + params.hbar ** 2
-                      / (4.0 * params.m ** 2 * state0.sigma ** 3))
-        runaway_scale = max(abs(state0.sigma_ddot), base_scale)
+                      / (4.0 * params.m ** 2 * sigma0 ** 3))
+        runaway_scale = float(max(abs(accel0), base_scale))
         runaway_window = params.r / params.m
     else:
         def rhs(y: np.ndarray) -> np.ndarray:
@@ -672,14 +671,15 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
     if not sigma0 > config.sigma_min_guard:
         raise ValueError("initial width must exceed sigma_min_guard")
 
+    # The models see numpy scalars, as in the second-order path: an
+    # overflow gives inf (a rejected step) instead of an OverflowError.
     def rhs(y: np.ndarray) -> np.ndarray:
-        return np.array([models.overdamped_velocity(float(y[0]), params,
-                                                    variant)])
+        return np.array([models.overdamped_velocity(y[0], params, variant)])
 
     y0 = np.array([float(sigma0)])
     fields, reason = _drive(rhs, y0, (t0, t1), config)
     sigmas = fields["states"][:, 0]
-    vel = np.array([models.overdamped_velocity(float(s), params, variant)
+    vel = np.array([models.overdamped_velocity(s, params, variant)
                     for s in sigmas])
     fields["states"] = np.column_stack([sigmas, vel])
     return Trajectory(variant=variant, params=params, first_order=True,

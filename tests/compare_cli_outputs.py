@@ -1,13 +1,15 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for four width models, thermal for
-the integral form on both schemes and the slope form on TR-BDF2, and a
-simulate sweep at ``--jobs 1`` and ``--jobs 4``) once against each
-tree, each in a fresh interpreter, and compares every CSV and
-``summary.json`` byte for byte.  For a CSV that differs it prints how
-many data rows differ and the largest absolute and relative cell
-difference; for a ``summary.json`` that differs, the keys whose values
-differ.
+the integral form on both schemes and the slope form on TR-BDF2, a
+simulate sweep at ``--jobs 1`` and ``--jobs 4``, and ``verify`` of five
+suites) once against each tree, each in a fresh interpreter, and
+compares every CSV, ``summary.json`` and ``verify_report.json`` byte
+for byte.  For a CSV that differs it prints how many data rows differ
+and the largest absolute and relative cell difference; for a
+``summary.json`` that differs, the keys whose values differ; for a
+``verify_report.json``, each check whose entry differs with the keys
+that differ, old and new value (``absent`` for a missing key).
 
 Usage::
 
@@ -92,6 +94,9 @@ SWEEP = {
               "initial.sigma": [0.8, 1.5]},
 }
 
+VERIFY_SUITES = ["free-particle", "energy", "thermal-limits", "madelung",
+                 "radiative"]
+
 _RUNNER = ("import sys\n"
            "from ermakov.cli import main\n"
            "sys.exit(main(sys.argv[1:]))\n")
@@ -109,6 +114,7 @@ def _commands(cfg_dir: Path):
     for jobs in ("1", "4"):
         cmds.append((f"sweep-jobs{jobs}",
                      ["sweep", "--config", str(path), "--jobs", jobs]))
+    cmds.append(("verify", ["verify", *VERIFY_SUITES]))
     return cmds
 
 
@@ -159,6 +165,37 @@ def _describe_json(a: bytes, b: bytes) -> str:
     return "keys differ: " + ", ".join(keys)
 
 
+def _describe_report(a: bytes, b: bytes) -> str:
+    """Each check whose entry differs between two verify reports."""
+    old, new = json.loads(a), json.loads(b)
+    lines = []
+    if old["passed"] != new["passed"]:
+        lines.append(f"passed: {old['passed']} -> {new['passed']}")
+    old_checks = {c["name"]: c for c in old["checks"]}
+    new_checks = {c["name"]: c for c in new["checks"]}
+    for name in sorted(set(old_checks) | set(new_checks)):
+        x, y = old_checks.get(name), new_checks.get(name)
+        if x is None or y is None:
+            lines.append(f"{name}: only in the {'new' if x is None else 'old'}"
+                         f" report")
+            continue
+        diffs = [f"{key} ({x.get(key, 'absent')!r} -> "
+                 f"{y.get(key, 'absent')!r})"
+                 for key in sorted(set(x) | set(y))
+                 if key not in x or key not in y or x[key] != y[key]]
+        if diffs:
+            lines.append(f"{name}: " + ", ".join(diffs))
+    return "\n    ".join(lines)
+
+
+def _describe(rel: Path, a: bytes, b: bytes) -> str:
+    if rel.suffix == ".csv":
+        return _describe_csv(a, b)
+    if rel.name == "verify_report.json":
+        return _describe_report(a, b)
+    return _describe_json(a, b)
+
+
 def compare(old_src: Path, new_src: Path, work: Path) -> int:
     cfg_dir = work / "configs"
     cfg_dir.mkdir(parents=True)
@@ -181,9 +218,7 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
             print(f"{'same' if same else 'DIFF'} {label}/{rel} "
                   f"({len(a)} bytes)")
             if not same and b_path.is_file():
-                describe = (_describe_csv if rel.suffix == ".csv"
-                            else _describe_json)
-                print(f"    {describe(a, b_path.read_bytes())}")
+                print(f"    {_describe(rel, a, b_path.read_bytes())}")
             bad += not same
     print(f"{len(cmds)} runs, {bad} differences")
     return 0 if bad == 0 else 1

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ermakov import analytic, cli, output
-from ermakov.core import PhysicalParams
+from ermakov import analytic, cli, integrators, output, verification
+from ermakov.core import PhysicalParams, State
+from ermakov.integrators import StopReason
+from ermakov.models import ModelVariant
 
 
 def _write_config(tmp_path, payload, name="run.json"):
@@ -236,6 +238,50 @@ def test_simulate_overflowing_initial_rate_exits_2(tmp_path):
     assert lines[1:] == ["0,1,1e+308,inf"]
 
 
+def test_overdamped_width_at_float_max_ends_like_second_order(tmp_path):
+    # The overdamped rhs passed a Python float to the models, where
+    # sigma ** 3 raised OverflowError; numpy scalars give inf instead.
+    params = PhysicalParams(b=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, first = integrators.integrate_overdamped(
+            ModelVariant.OVERDAMPED_DISSIPATIVE, 1e308, (0.0, 1.0), params)
+        _, second = integrators.integrate(
+            ModelVariant.DISSIPATIVE, State(1e308, 0.0), (0.0, 1.0),
+            params)
+    assert first is second is StopReason.STEP_UNDERFLOW
+    for model in ("overdamped-dissipative", "dissipative"):
+        cfg = _write_config(tmp_path, {
+            "model": model, "params": {"b": 1},
+            "initial": {"sigma": 1e308}, "t_span": [0, 1]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["simulate", "--config", cfg, "--out",
+                           str(tmp_path), "--quiet"])
+        assert rc == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stop_reason"] == "step_underflow"
+
+
+def test_equilibrium_out_of_float_range_exits_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "params": {"beta": 1e300, "omega0": 1e300}})
+    rc = cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "omega0 must be at most 1e+150" in capsys.readouterr().err
+    # Inside the parameter range the closed forms raise ValueError where
+    # their value leaves the float range.
+    with pytest.raises(ValueError, match="float range"):
+        analytic.equilibrium_high_temperature(
+            PhysicalParams(beta=1e300, omega0=1e150))
+    with pytest.raises(ValueError, match="float range"):
+        analytic.equilibrium_coth(PhysicalParams(beta=5e-324))
+    cfg = _write_config(tmp_path, {"params": {"beta": 5e-324}})
+    rc = cli.main(["equilibrium", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "equilibrium_coth leaves the float range" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -298,6 +344,44 @@ def test_samples_bound_exits_1(tmp_path, capsys, command, payload,
     assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
+@pytest.mark.parametrize("sweep, message", [
+    # 1,200 points of 1,000 rows each: rejected before any point runs.
+    ({"initial.sigma": [1.0 + i / 40 for i in range(40)],
+      "initial.sigma_dot": [i / 30 for i in range(30)]},
+     "the sweep's points would write 1200000 rows; at most 1000000"),
+    ({"initial.sigma": [1.0 + i / 1001 for i in range(1001)],
+      "initial.sigma_dot": [i / 1000 for i in range(1000)]},
+     "a sweep may have at most 1000000 points"),
+])
+def test_sweep_total_rows_bound_exits_1(tmp_path, capsys, monkeypatch,
+                                        sweep, message):
+    def no_run(parsed):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setitem(cli._SWEEP_TASKS, "simulate", (
+        cli._parse_simulate, no_run, cli._TRAJECTORY_HEADER))
+    cfg = _write_config(tmp_path, {
+        "task": "simulate", "model": "conservative",
+        "initial": {"sigma": 1.0}, "t_span": [0.0, 1.0], "samples": 1000,
+        "sweep": sweep})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+
+def test_thermal_grid_size_bound_exits_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "variant": "integral-form",
+        "grid": {"beta_min": 0.5, "beta_max": 4.0, "beta_count": 2001},
+        "t_span": [0.0, 1.0], "samples": 2,
+        "integrator": {"scheme": "implicit-a-stable"}})
+    rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "grid.beta_count must be at most 2000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg = _free_config(tmp_path, integrator={"rel_tol_x": 1e-8})
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -355,6 +439,26 @@ def test_verify_fast_suites_exit_0(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is True
     assert len(report["checks"]) == 5
+
+
+def test_verify_prints_bounds_and_bands(tmp_path, capsys, monkeypatch):
+    def probe_suite(rel_tol):
+        return [verification._run_check("one-sided", 1e-3,
+                                        lambda: (5e-4, "")),
+                verification._run_check("banded", (1.8, 2.2),
+                                        lambda: (2.5, "order 2.5"))]
+
+    monkeypatch.setitem(verification._SUITES, "probe", probe_suite)
+    rc = cli.main(["verify", "probe", "--out", str(tmp_path)])
+    assert rc == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        "PASS one-sided: measured 5.000e-04, bound 1.000e-03",
+        "FAIL banded: measured 2.500e+00, band [1.800e+00, 2.200e+00] "
+        "(order 2.5)"]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [(c["lower"], c["tolerance"]) for c in report["checks"]] == [
+        (None, 1e-3), (1.8, 2.2)]
 
 
 def test_verify_loosened_tolerance_exits_3(tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_dimensionless_edge_cases():
     assert PhysicalParams().dimensionless_temperature == 0.0
 
 
+def test_parameters_keep_their_squares_finite():
+    for name in ("m", "omega0", "hbar", "b", "k_B", "r"):
+        assert getattr(PhysicalParams(**{name: 1e150}), name) == 1e150
+        with pytest.raises(ValueError, match=f"{name} must be at most"):
+            PhysicalParams(**{name: 1e151})
+    # Tiny parameters pass; products that underflow to 0 raise ValueError
+    # or read as infinite friction, not ZeroDivisionError.
+    tiny = PhysicalParams(m=1e-200, omega0=1e-200, b=1.0)
+    assert tiny.dimensionless_friction == math.inf
+    with pytest.raises(ValueError, match="underflows"):
+        core.ground_state_sigma(tiny)
+
+
 def test_states_are_frozen_and_nested():
     s = State(1.0, -0.5)
     with pytest.raises(AttributeError):
