@@ -88,6 +88,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _choice(value, table: dict, where: str):
+    """The entry of ``table`` named by ``value``, a string key."""
+    if not isinstance(value, str) or value not in table:
+        raise ConfigError(f"{where} must be one of "
+                          + ", ".join(sorted(table)))
+    return table[value]
+
+
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
@@ -146,11 +154,7 @@ def _parse_integrator(obj: Optional[dict]) -> IntegratorConfig:
     kwargs: Dict[str, object] = {}
     for key, value in obj.items():
         if key == "scheme":
-            if value not in _SCHEMES:
-                raise ConfigError(
-                    "integrator.scheme must be one of "
-                    + ", ".join(sorted(_SCHEMES)))
-            kwargs[key] = _SCHEMES[value]
+            kwargs[key] = _choice(value, _SCHEMES, "integrator.scheme")
         elif key == "max_steps":
             kwargs[key] = _integer(value, "integrator.max_steps")
         else:
@@ -196,11 +200,7 @@ def _parse_output(obj: Optional[dict], default_csv: str) -> Dict[str, str]:
 def _parse_simulate(cfg: dict) -> dict:
     _check_keys(cfg, ("model", "params", "initial", "t_span", "samples",
                       "integrator", "output"), "")
-    model = _need(cfg, "model", "")
-    if model not in _MODEL_NAMES:
-        raise ConfigError("model must be one of "
-                          + ", ".join(sorted(_MODEL_NAMES)))
-    variant = _MODEL_NAMES[model]
+    variant = _choice(_need(cfg, "model", ""), _MODEL_NAMES, "model")
     params = _parse_params(cfg.get("params"))
     initial_obj = _mapping(_need(cfg, "initial", ""), "initial")
     if variant in OVERDAMPED_VARIANTS:
@@ -269,10 +269,7 @@ def _parse_profile(obj: Optional[dict]) -> dict:
 def _parse_thermal(cfg: dict) -> dict:
     _check_keys(cfg, ("variant", "params", "grid", "profile", "t_span",
                       "samples", "integrator", "output"), "")
-    name = _need(cfg, "variant", "")
-    if name not in _THERMAL_NAMES:
-        raise ConfigError("variant must be one of "
-                          + ", ".join(sorted(_THERMAL_NAMES)))
+    variant = _choice(_need(cfg, "variant", ""), _THERMAL_NAMES, "variant")
     grid_obj = _mapping(_need(cfg, "grid", ""), "grid")
     _check_keys(grid_obj, ("beta_min", "beta_max", "beta_count"), "grid")
     try:
@@ -295,7 +292,7 @@ def _parse_thermal(cfg: dict) -> dict:
         # has to be finite, so borrow the coldest node.
         params = params.with_(beta=grid.beta_max)
     return {
-        "variant": _THERMAL_NAMES[name],
+        "variant": variant,
         "params": params,
         "grid": grid,
         "profile": _parse_profile(cfg.get("profile")),
@@ -549,9 +546,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("jobs must be at least 1")
     cfg = _load_config(args.config)
     task = _need(cfg, "task", "")
-    if not isinstance(task, str) or task not in _SWEEP_TASKS:
-        raise ConfigError("task must be one of " + ", ".join(_SWEEP_TASKS))
-    parse, run, header = _SWEEP_TASKS[task]
+    parse, run, header = _choice(task, _SWEEP_TASKS, "task")
     sweep_obj = _mapping(_need(cfg, "sweep", ""), "sweep")
     if not 1 <= len(sweep_obj) <= 2:
         raise ConfigError("sweep takes one or two swept parameters")

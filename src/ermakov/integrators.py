@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,34 +89,38 @@ class IntegratorConfig:
             raise ValueError("runaway_ratio must exceed 1")
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau, as Python floats for the float kernel.
 _DP_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 # Difference between the fifth- and fourth-order solutions.
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                  -17253 / 339200, 22 / 525, -1 / 40])
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 # Quartic interpolant: y(t0 + x h) = y0 + h (K^T P) [x, x^2, x^3, x^4].
-_DP_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# The same tableau as arrays, for the array kernel.
+_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
+_DP_B_ROW = np.array(_DP_B)
+_DP_E_ROW = np.array(_DP_E)
+_DP_P_MATRIX = np.array(_DP_P)
 
 # TR-BDF2 constants: trapezoidal stage to gamma, BDF2 stage to 1.
 _TB_GAMMA = 2.0 - math.sqrt(2.0)
@@ -179,20 +184,31 @@ def _hermite_coeffs(y0: np.ndarray, f0: np.ndarray, y1: np.ndarray,
     return c
 
 
+def _scaled_norm(err_vec: np.ndarray, y: np.ndarray, y1: np.ndarray,
+                 abs_tol: float, rel_tol: float) -> float:
+    """RMS of a local error estimate over its tolerance scale."""
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y1))
+    return _rms(err_vec / scale)
+
+
 def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                  f0: np.ndarray, h: float, nguard: int):
-    """One explicit step attempt.  Returns (y1, f1, err_vec, dense_coeffs)."""
+                  f0: np.ndarray, h: float, nguard: int, abs_tol: float,
+                  rel_tol: float):
+    """One explicit step attempt on arrays.
+
+    Returns (y1, f1, err, dense_coeffs), ``err`` the scaled error norm.
+    """
     dim = y.size
     k = np.empty((7, dim))
     k[0] = f0
-    for i, a_row in enumerate(_DP_A, start=1):
+    for i, a_row in enumerate(_DP_A_ROWS, start=1):
         y_stage = y + h * (a_row @ k[:i])
         if not np.all(np.isfinite(y_stage)):
             raise _BadStep
         if np.min(y_stage[:nguard]) <= 0.0:
             raise _FloorBreach
         k[i] = rhs(y_stage)
-    y1 = y + h * (_DP_B @ k[:6])
+    y1 = y + h * (_DP_B_ROW @ k[:6])
     if not np.all(np.isfinite(y1)):
         raise _BadStep
     if np.min(y1[:nguard]) <= 0.0:
@@ -200,11 +216,88 @@ def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     k[6] = rhs(y1)
     if not np.all(np.isfinite(k)):
         raise _BadStep
-    err_vec = h * (_DP_E @ k)
+    err_vec = h * (_DP_E_ROW @ k)
     c = np.zeros((5, dim))
     c[0] = y
-    c[1:] = h * (k.T @ _DP_P).T
-    return y1, k[6].copy(), err_vec, c
+    c[1:] = h * (k.T @ _DP_P_MATRIX).T
+    return (y1, k[6].copy(), _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
+            c)
+
+
+def _float_stage(rhs, ys: list, nguard: int):
+    """Check a float-kernel stage state, then evaluate ``rhs`` there.
+
+    The checks are those of ``_dp54_attempt``.  The models raise
+    OverflowError or ZeroDivisionError on Python floats where numpy
+    scalars give inf or NaN, so a call that raises is repeated on numpy
+    scalars: the step then fails, or goes on, as it does on arrays.  A
+    call that raises there too is a bad step.
+    """
+    for v in ys:
+        if not math.isfinite(v):
+            raise _BadStep
+    if min(ys[:nguard]) <= 0.0:
+        raise _FloorBreach
+    try:
+        return rhs(ys)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    try:
+        return [float(v) for v in rhs(np.array(ys))]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _BadStep from exc
+
+
+def _dp54_floats(rhs, y: list, f0, h: float, nguard: int, abs_tol: float,
+                 rel_tol: float):
+    """One explicit step attempt on a state of a few Python floats.
+
+    The arithmetic of ``_dp54_attempt`` with every stage sum written out
+    term by term in tableau order, so results differ from it by ulps
+    (numpy's small matmul sums in its own order).  ``rhs`` takes a list
+    of floats and returns a sequence of floats.  Returns (y1, f1, err,
+    dense_coeffs) like ``_dp54_attempt``, as lists and tuples.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    # Column 0 of the interpolant is k1 alone, and row 2 is zero.
+    (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
+        (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = _DP_P
+    k1 = f0
+    k2 = _float_stage(rhs, [a + h * (a21 * p)
+                            for a, p in zip(y, k1)], nguard)
+    k3 = _float_stage(rhs, [a + h * (a31 * p + a32 * q)
+                            for a, p, q in zip(y, k1, k2)], nguard)
+    k4 = _float_stage(rhs, [a + h * (a41 * p + a42 * q + a43 * r)
+                            for a, p, q, r in zip(y, k1, k2, k3)], nguard)
+    k5 = _float_stage(rhs, [a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                            for a, p, q, r, s in zip(y, k1, k2, k3, k4)],
+                      nguard)
+    k6 = _float_stage(rhs, [a + h * (a61 * p + a62 * q + a63 * r + a64 * s
+                                     + a65 * u)
+                            for a, p, q, r, s, u
+                            in zip(y, k1, k2, k3, k4, k5)], nguard)
+    y1 = [a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+          for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+    k7 = _float_stage(rhs, y1, nguard)
+    total = 0.0
+    rows = []
+    for a, b, p, r, s, u, v, w in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        if not math.isfinite(w):
+            raise _BadStep
+        e = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) \
+            / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        total += e * e
+        rows.append((h * p,
+                     h * (p21 * p + p23 * r + p24 * s + p25 * u + p26 * v
+                          + p27 * w),
+                     h * (p31 * p + p33 * r + p34 * s + p35 * u + p36 * v
+                          + p37 * w),
+                     h * (p41 * p + p43 * r + p44 * s + p45 * u + p46 * v
+                          + p47 * w)))
+    return y1, k7, math.sqrt(total / len(y)), (y, *zip(*rows))
 
 
 def _fd_jacobian(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
@@ -275,13 +368,14 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
 
 
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                    f0: np.ndarray, h: float, scale: np.ndarray, nguard: int,
-                    newton_solver):
-    """One TR-BDF2 step attempt.  Returns (y1, f1, err_vec, dense_coeffs).
+                    f0: np.ndarray, h: float, nguard: int, abs_tol: float,
+                    rel_tol: float, newton_solver):
+    """One TR-BDF2 step attempt.  Returns (y1, f1, err, dense_coeffs).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
     that every Newton iteration and the error filter of the step use.
     """
+    scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
     solve = newton_solver(y, f0, dh)
     # Trapezoidal stage to t + gamma h.
@@ -305,7 +399,8 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     raw = (h / 3.0) * (_TB_E0 * f0 + f_mid + _TB_E2 * f1)
     # Filter the companion difference so stiff components do not dominate.
     err_vec = _linear_solve(solve, raw)
-    return y1, f1, err_vec, _hermite_coeffs(y, f0, y1, f1, h)
+    return (y1, f1, _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
+            _hermite_coeffs(y, f0, y1, f1, h))
 
 
 def _initial_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
@@ -398,45 +493,95 @@ def sample(trajectory: Trajectory, times) -> np.ndarray:
     return trajectory.sample(times)
 
 
-def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-           t_span: tuple, config: IntegratorConfig,
+def _control(err: Optional[float], err_prev: float, explicit: bool,
+             just_rejected: bool) -> tuple:
+    """Accept test and step-size factor of the adaptive driver.
+
+    ``err`` is the attempt's scaled error norm, or None for an attempt
+    that failed outright (a floor breach, a non-finite value, a failed
+    Newton solve, or a node at the sigma guard); such a step is halved.
+    An error above 1 (or not finite) is rejected, the step shrinking by
+    0.9 err^-1/(q+1) clipped to [0.2, 1], q the embedded order.  An
+    accepted explicit step grows by Gustafsson's PI factor
+    0.9 err^-0.14 err_prev^0.08, an implicit one by 0.9 err^-1/3, both
+    clipped to [0.2, 10] and to at most 1 right after a rejection.
+    Returns (accept, factor).
+    """
+    if err is None:
+        return False, 0.5
+    exponent = 0.2 if explicit else 1.0 / 3.0
+    if not err <= 1.0:
+        if not math.isfinite(err):
+            return False, 0.2
+        return False, min(max(0.2, 0.9 * err ** (-exponent)), 1.0)
+    if err == 0.0:
+        fac = 10.0
+    elif explicit:
+        fac = 0.9 * err ** (-0.14) * err_prev ** 0.08
+    else:
+        fac = 0.9 * err ** (-exponent)
+    fac = min(10.0, max(0.2, fac))
+    if just_rejected:
+        fac = min(fac, 1.0)
+    return True, fac
+
+
+def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
            runaway_scale: Optional[float] = None,
            runaway_window: Optional[float] = None, nguard: int = 1,
            newton_solver=None):
     """Shared adaptive loop.
 
-    ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns a
-    function that solves (I - dh J(y)) x = g, J the Jacobian of ``rhs``.
-    Without one, TR-BDF2 forms I - dh J from a finite-difference
-    Jacobian at every attempt.  Returns (fields, reason): ``fields`` maps
-    the trajectory field names (node arrays, dense coefficients and
-    counters) to their values.
+    ``rhs(y)`` returns the derivative at the state ``y`` as a sequence
+    of floats.  Explicit runs of dim <= 3 step on Python floats
+    (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
+    call gets a numpy array, as do the first derivative and the
+    first-step heuristic of every run.  ``newton_solver(y, f0, dh)``
+    serves the implicit scheme: it returns a function that solves
+    (I - dh J(y)) x = g, J the Jacobian of ``rhs``.  Without one, TR-BDF2
+    forms I - dh J from a finite-difference Jacobian at every attempt.
+    Returns (fields, reason): ``fields`` maps the trajectory field names
+    (node arrays, dense coefficients and counters) to their values.
     """
     t0, t_end = t_span
     explicit = config.scheme is Scheme.DOPRI54
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     nfev = [0]
 
-    def counted(y: np.ndarray) -> np.ndarray:
+    def counted(y):
         nfev[0] += 1
         return rhs(y)
 
-    if newton_solver is None:
-        newton_solver = _dense_solver(counted)
+    def counted_array(y: np.ndarray) -> np.ndarray:
+        nfev[0] += 1
+        return np.asarray(rhs(y), dtype=float)
 
-    f0 = counted(y0)
+    f0 = counted_array(y0)
     if not np.all(np.isfinite(f0)):
         raise ValueError("right-hand side is not finite at the initial state")
 
     if config.h_init is not None:
         h = min(config.h_init, t_end - t0)
     else:
-        h = _initial_step(counted, y0, f0, t_end - t0, 5 if explicit else 2,
-                          config, nguard)
+        h = _initial_step(counted_array, y0, f0, t_end - t0,
+                          5 if explicit else 2, config, nguard)
 
-    exponent = 0.2 if explicit else 1.0 / 3.0
+    if explicit and y0.size <= 3:
+        y, f0 = y0.tolist(), f0.tolist()
+        lowest = min
+        attempt = partial(_dp54_floats, counted)
+    else:
+        y = y0.copy()
+        lowest = np.min
+        if explicit:
+            attempt = partial(_dp54_attempt, counted_array)
+        else:
+            attempt = partial(_trbdf2_attempt, counted_array,
+                              newton_solver=newton_solver
+                              or _dense_solver(counted_array))
 
     times = [t0]
-    states = [y0.copy()]
+    states = [y]
     hs = [0.0]
     errs = [0.0]
     dense = []
@@ -446,7 +591,6 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         floor = 1e-3 * runaway_scale
 
     t = t0
-    y = y0.copy()
     err_prev = 1.0
     just_rejected = False
     n_accept = 0
@@ -456,57 +600,27 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     while t < t_end:
         clipped = h >= t_end - t
         h_att = min(h, t_end - t)
-        at_floor = h_att <= config.h_min * (1.0 + 1e-12)
 
+        failure = StopReason.STEP_UNDERFLOW
         try:
-            if explicit:
-                y1, f1, err_vec, coeffs = _dp54_attempt(counted, y, f0, h_att,
-                                                        nguard)
-            else:
-                scale_n = config.abs_tol + config.rel_tol * np.abs(y)
-                y1, f1, err_vec, coeffs = _trbdf2_attempt(
-                    counted, y, f0, h_att, scale_n, nguard, newton_solver)
+            y1, f1, err, coeffs = attempt(y, f0, h_att, nguard, abs_tol,
+                                          rel_tol)
         except _FloorBreach:
-            if at_floor:
-                reason = StopReason.SIGMA_GUARD_HIT
-                break
-            n_reject += 1
-            just_rejected = True
-            h = max(0.5 * h_att, config.h_min)
-            continue
+            failure, err = StopReason.SIGMA_GUARD_HIT, None
         except _BadStep:
-            if at_floor:
-                reason = StopReason.STEP_UNDERFLOW
+            err = None
+        else:
+            if err <= 1.0 and lowest(y1[:nguard]) <= config.sigma_min_guard:
+                failure, err = StopReason.SIGMA_GUARD_HIT, None
+        accept, fac = _control(err, err_prev, explicit, just_rejected)
+        h = min(max(h_att * fac, config.h_min), config.h_max)
+
+        if not accept:
+            if h_att <= config.h_min * (1.0 + 1e-12):
+                reason = failure
                 break
             n_reject += 1
             just_rejected = True
-            h = max(0.5 * h_att, config.h_min)
-            continue
-
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y),
-                                                             np.abs(y1))
-        err = _rms(err_vec / scale)
-        if not math.isfinite(err):
-            err = math.inf
-
-        if err > 1.0:
-            if at_floor:
-                reason = StopReason.STEP_UNDERFLOW
-                break
-            n_reject += 1
-            just_rejected = True
-            fac = max(0.2, 0.9 * err ** (-exponent)) if math.isfinite(err) \
-                else 0.2
-            h = max(min(fac, 1.0) * h_att, config.h_min)
-            continue
-
-        if np.min(y1[:nguard]) <= config.sigma_min_guard:
-            if at_floor:
-                reason = StopReason.SIGMA_GUARD_HIT
-                break
-            n_reject += 1
-            just_rejected = True
-            h = max(0.5 * h_att, config.h_min)
             continue
 
         # Accept the node.
@@ -514,11 +628,13 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         y = y1
         f0 = f1
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         hs.append(h_att)
         errs.append(err)
         dense.append(coeffs)
         n_accept += 1
+        just_rejected = False
+        err_prev = max(err, 1e-10)
 
         if runaway_scale is not None:
             a_abs = abs(float(y[2]))
@@ -534,25 +650,9 @@ def _drive(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
                     reason = StopReason.RUNAWAY_DETECTED
                     break
 
-        if t >= t_end:
-            break
-
-        if n_accept >= config.max_steps:
+        if n_accept >= config.max_steps and t < t_end:
             reason = StopReason.MAX_STEPS
             break
-
-        if err == 0.0:
-            fac = 10.0
-        elif explicit:
-            fac = 0.9 * err ** (-0.14) * err_prev ** 0.08
-        else:
-            fac = 0.9 * err ** (-exponent)
-        fac = min(10.0, max(0.2, fac))
-        if just_rejected:
-            fac = min(fac, 1.0)
-            just_rejected = False
-        err_prev = max(err, 1e-10)
-        h = min(max(h_att * fac, config.h_min), config.h_max)
 
     fields = {
         "times": np.array(times),
@@ -625,9 +725,9 @@ def integrate(variant: ModelVariant, initial, t_span,
             RuntimeWarning, stacklevel=2)
 
     if third_order:
-        def rhs(y: np.ndarray) -> np.ndarray:
+        def rhs(y) -> tuple:
             st = State3(sigma=y[0], sigma_dot=y[1], sigma_ddot=y[2])
-            return np.array([y[1], y[2], models.radiative_jerk(st, params)])
+            return y[1], y[2], models.radiative_jerk(st, params)
 
         # numpy scalars: an overflow gives inf instead of raising
         sigma0, accel0 = y0[0], y0[2]
@@ -637,9 +737,9 @@ def integrate(variant: ModelVariant, initial, t_span,
         runaway_scale = float(max(abs(accel0), base_scale))
         runaway_window = params.r / params.m
     else:
-        def rhs(y: np.ndarray) -> np.ndarray:
+        def rhs(y) -> tuple:
             st = State(sigma=y[0], sigma_dot=y[1])
-            return np.array([y[1], models.acceleration(variant, st, params)])
+            return y[1], models.acceleration(variant, st, params)
 
         runaway_scale = None
         runaway_window = None
@@ -671,13 +771,12 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
     if not sigma0 > config.sigma_min_guard:
         raise ValueError("initial width must exceed sigma_min_guard")
 
-    # The models see numpy scalars, as in the second-order path: an
-    # overflow gives inf (a rejected step) instead of an OverflowError.
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.array([models.overdamped_velocity(y[0], params, variant)])
+    def rhs(y) -> tuple:
+        return models.overdamped_velocity(y[0], params, variant),
 
     y0 = np.array([float(sigma0)])
     fields, reason = _drive(rhs, y0, (t0, t1), config)
+    # numpy scalars: an overflow gives inf instead of raising
     sigmas = fields["states"][:, 0]
     vel = np.array([models.overdamped_velocity(s, params, variant)
                     for s in sigmas])

@@ -2,14 +2,17 @@
 
 Runs a fixed config set (simulate for four width models, thermal for
 the integral form on both schemes and the slope form on TR-BDF2, a
-simulate sweep at ``--jobs 1`` and ``--jobs 4``, and ``verify`` of five
+simulate sweep at ``--jobs 1`` and ``--jobs 4``, and ``verify`` of six
 suites) once against each tree, each in a fresh interpreter, and
 compares every CSV, ``summary.json`` and ``verify_report.json`` byte
 for byte.  For a CSV that differs it prints how many data rows differ
-and the largest absolute and relative cell difference; for a
-``summary.json`` that differs, the keys whose values differ; for a
-``verify_report.json``, each check whose entry differs with the keys
-that differ, old and new value (``absent`` for a missing key).
+and the largest absolute and relative cell difference.  For every
+``summary.json`` it prints whether the run counters (accepted and
+rejected steps, rhs evaluations, stop reasons) match, and, for one that
+differs, each other key whose value differs with its old and new value.
+For a ``verify_report.json`` it prints each check whose entry differs
+with the keys that differ, old and new value (``absent`` for a missing
+key).
 
 Usage::
 
@@ -95,7 +98,11 @@ SWEEP = {
 }
 
 VERIFY_SUITES = ["free-particle", "energy", "thermal-limits", "madelung",
-                 "radiative"]
+                 "radiative", "pinney"]
+# Summary keys that count what a run did, as opposed to the floats it
+# ended with.
+_COUNTERS = ("steps_accepted", "steps_rejected", "rhs_evaluations",
+             "stop_reason", "stop_reasons")
 
 _RUNNER = ("import sys\n"
            "from ermakov.cli import main\n"
@@ -158,11 +165,25 @@ def _describe_csv(a: bytes, b: bytes) -> str:
             f"{abs_max:.3e}, max rel {rel_max:.3e}")
 
 
-def _describe_json(a: bytes, b: bytes) -> str:
-    """Keys whose values differ between two JSON documents."""
+def _counters(a: bytes, b: bytes) -> str:
+    """Whether the run counters of two summaries match."""
     old, new = json.loads(a), json.loads(b)
-    keys = sorted(k for k in set(old) | set(new) if old.get(k) != new.get(k))
-    return "keys differ: " + ", ".join(keys)
+    keys = [k for k in _COUNTERS if k in old or k in new]
+    moved = [f"{k} ({old.get(k, 'absent')!r} -> {new.get(k, 'absent')!r})"
+             for k in keys if old.get(k) != new.get(k)]
+    if moved:
+        return "counters DIFF: " + ", ".join(moved)
+    return "counters same: " + ", ".join(keys)
+
+
+def _describe_summary(a: bytes, b: bytes) -> str:
+    """Keys other than the counters whose values differ."""
+    old, new = json.loads(a), json.loads(b)
+    keys = sorted(k for k in set(old) | set(new)
+                  if k not in _COUNTERS and old.get(k) != new.get(k))
+    return "other keys differ: " + ", ".join(
+        f"{k} ({old.get(k, 'absent')!r} -> {new.get(k, 'absent')!r})"
+        for k in keys)
 
 
 def _describe_report(a: bytes, b: bytes) -> str:
@@ -193,7 +214,7 @@ def _describe(rel: Path, a: bytes, b: bytes) -> str:
         return _describe_csv(a, b)
     if rel.name == "verify_report.json":
         return _describe_report(a, b)
-    return _describe_json(a, b)
+    return _describe_summary(a, b)
 
 
 def compare(old_src: Path, new_src: Path, work: Path) -> int:
@@ -217,6 +238,8 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
             same = b_path.is_file() and b_path.read_bytes() == a
             print(f"{'same' if same else 'DIFF'} {label}/{rel} "
                   f"({len(a)} bytes)")
+            if b_path.is_file() and rel.name == "summary.json":
+                print(f"    {_counters(a, b_path.read_bytes())}")
             if not same and b_path.is_file():
                 print(f"    {_describe(rel, a, b_path.read_bytes())}")
             bad += not same

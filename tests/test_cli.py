@@ -398,6 +398,26 @@ def test_unknown_model_exits_1(tmp_path, capsys):
     assert "model must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", {"model": [1], "initial": {"sigma": 1.0},
+                  "t_span": [0.0, 1.0]}, "model"),
+    ("thermal", {"variant": {}, "grid": {"beta_min": 0.5, "beta_max": 2.0,
+                                         "beta_count": 5},
+                 "t_span": [0.0, 1.0]}, "variant"),
+    ("simulate", {"model": "conservative", "initial": {"sigma": 1.0},
+                  "t_span": [0.0, 1.0], "integrator": {"scheme": [0]}},
+     "integrator.scheme"),
+    ("sweep", {"task": {"simulate": 1}, "sweep": {"initial.sigma": [1.0]}},
+     "task"),
+])
+def test_name_of_the_wrong_type_names_its_key(tmp_path, capsys, command,
+                                              payload, key):
+    cfg = _write_config(tmp_path, payload)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"config error: {key} must be one of" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "absent.json")])
     assert rc == 1

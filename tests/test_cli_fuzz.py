@@ -179,6 +179,14 @@ _CONFIGS = st.one_of(
 @example(case=("equilibrium", {
     "params": {"beta": 1e300, "omega0": 1e300}}))
 @example(case=("equilibrium", {"params": {"beta": 5e-324}}))
+@example(case=("simulate", {
+    "model": [1], "initial": {"sigma": 1.0}, "t_span": [0, 1]}))
+@example(case=("thermal", {
+    "variant": {}, "grid": {"beta_min": 0.5, "beta_max": 2.0,
+                            "beta_count": 5}, "t_span": [0, 1]}))
+@example(case=("simulate", {
+    "model": "conservative", "initial": {"sigma": 1.0}, "t_span": [0, 1],
+    "integrator": {"scheme": [0]}}))
 def test_cli_ends_in_an_exit_code(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
