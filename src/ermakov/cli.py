@@ -85,7 +85,10 @@ def _need(section: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be a finite number")
 
 
 def _choice(value, table: dict, where: str):
@@ -338,7 +341,8 @@ def _sample_times(t0: float, traj, samples: int) -> np.ndarray:
 
 
 def _run_trajectory(parsed: dict):
-    """Integrate one width model; returns (rows, trajectory, reason)."""
+    """Integrate one width model; returns (table, trajectory, reason),
+    the table's rows (t, sigma, sigma_dot, energy)."""
     t0, t1 = parsed["t_span"]
     if parsed["variant"] in OVERDAMPED_VARIANTS:
         traj, reason = integrators.integrate_overdamped(
@@ -351,9 +355,7 @@ def _run_trajectory(parsed: dict):
     ts = _sample_times(t0, traj, parsed["samples"])
     got = traj.sample(ts)
     energy = core.energy(got, parsed["params"])
-    rows = [(float(t), float(row[0]), float(row[1]), float(e))
-            for t, row, e in zip(ts, got, energy)]
-    return rows, traj, reason
+    return np.column_stack((ts, got[:, 0], got[:, 1], energy)), traj, reason
 
 
 def _initial_profile(parsed: dict) -> np.ndarray:
@@ -378,7 +380,8 @@ def _initial_profile(parsed: dict) -> np.ndarray:
 
 
 def _run_thermal(parsed: dict):
-    """Integrate a thermal field; returns (rows, trajectory, reason)."""
+    """Integrate a thermal field; returns (table, trajectory, reason),
+    the table's rows (t, beta, sigma, sigma_dot), time-major."""
     grid = parsed["grid"]
     field0 = ThermalField.at_rest(grid, _initial_profile(parsed))
     t0, t1 = parsed["t_span"]
@@ -387,24 +390,20 @@ def _run_thermal(parsed: dict):
         parsed["integrator"])
     ts = _sample_times(t0, traj, parsed["samples"])
     got = traj.sample(ts)
-    nodes = grid.nodes
     n = grid.count
-    rows = []
-    for it, t in enumerate(ts):
-        for j in range(n):
-            rows.append((float(t), float(nodes[j]), float(got[it, j]),
-                         float(got[it, n + j])))
-    return rows, traj, reason
+    table = np.column_stack((np.repeat(ts, n), np.tile(grid.nodes, ts.size),
+                             got[:, :n].ravel(), got[:, n:].ravel()))
+    return table, traj, reason
 
 
 def _run_equilibrium(parsed: dict):
-    """The closed-form widths; returns (rows, None, reason) like the
+    """The closed-form widths; returns (table, None, reason) like the
     integrating tasks."""
     params = parsed["params"]
     row = (core.ground_state_sigma(params),
            math.sqrt(analytic.equilibrium_coth(params)),
            math.sqrt(analytic.equilibrium_high_temperature(params)))
-    return [row], None, StopReason.COMPLETED
+    return np.array([row]), None, StopReason.COMPLETED
 
 
 def _out_path(out_dir: str, name: str) -> Path:
@@ -434,10 +433,8 @@ def _cmd_simulate(args) -> int:
     output.write_csv(csv_path, _TRAJECTORY_HEADER, rows)
     svg_name = _chart_name(names, traj)
     if svg_name:
-        xs = np.array([r[0] for r in rows])
-        svg = output.polyline_chart(
-            xs, [("sigma", np.array([r[1] for r in rows]))],
-            parsed["variant"].value, "t", "sigma")
+        svg = output.polyline_chart(rows[:, 0], [("sigma", rows[:, 1])],
+                                    parsed["variant"].value, "t", "sigma")
         _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
     summary = {
         "command": "simulate",
@@ -448,9 +445,9 @@ def _cmd_simulate(args) -> int:
         "rows": len(rows),
         "csv": names["csv"],
         "svg": svg_name,
-        "sigma_final": rows[-1][1],
-        "sigma_dot_final": rows[-1][2],
-        "energy_final": rows[-1][3],
+        "sigma_final": float(rows[-1, 1]),
+        "sigma_dot_final": float(rows[-1, 2]),
+        "energy_final": float(rows[-1, 3]),
         "steps_accepted": traj.n_accepted,
         "steps_rejected": traj.n_rejected,
         "rhs_evaluations": traj.n_rhs,
@@ -470,8 +467,8 @@ def _cmd_thermal(args) -> int:
     grid = parsed["grid"]
     svg_name = _chart_name(names, traj)
     if svg_name:
-        ts = np.array(sorted({r[0] for r in rows}))
-        sig = np.array([r[2] for r in rows]).reshape(ts.size, grid.count)
+        ts = rows[::grid.count, 0]
+        sig = rows[:, 2].reshape(ts.size, grid.count)
         picks = (0, grid.count // 2, grid.count - 1)
         series = [(f"beta={grid.nodes[j]:.5g}", sig[:, j]) for j in picks]
         svg = output.polyline_chart(ts, series, parsed["variant"].value,
@@ -502,12 +499,13 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     parsed = _parse_equilibrium(_load_config(args.config))
-    row = _run_equilibrium(parsed)[0][0]
+    table = _run_equilibrium(parsed)[0]
+    row = table[0].tolist()
     for name, value in zip(_EQUILIBRIUM_HEADER, row):
         _say(args.quiet, f"{name} = {output.format_float(value)}")
     names = parsed["output"]
     csv_path = _out_path(args.out, names["csv"])
-    output.write_csv(csv_path, _EQUILIBRIUM_HEADER, [row])
+    output.write_csv(csv_path, _EQUILIBRIUM_HEADER, table)
     summary = {
         "command": "equilibrium",
         "csv": names["csv"],
@@ -531,7 +529,7 @@ def _set_by_path(cfg: dict, path: str, value: float) -> None:
     node[parts[-1]] = value
 
 
-# task -> (parse, run, header); run(parsed) returns (rows, trajectory,
+# task -> (parse, run, header); run(parsed) returns (table, trajectory,
 # reason), and every parsed config carries its CSV row count as "rows".
 _SWEEP_TASKS = {
     "simulate": (_parse_simulate, _run_trajectory, _TRAJECTORY_HEADER),
@@ -577,17 +575,18 @@ def _cmd_sweep(args) -> int:
                           f"at most {_MAX_ROWS} are allowed")
 
     # --jobs is validated but the points run serially, in sweep order.
-    outcomes = []
+    blocks, stop_reasons = [], []
     for point, parsed in zip(points, parsed_points):
-        rows, _, reason = run(parsed)
-        outcomes.append(([point + tuple(row) for row in rows], reason))
+        table, _, reason = run(parsed)
+        blocks.append(np.column_stack(
+            (np.tile(point, (table.shape[0], 1)), table)))
+        stop_reasons.append(reason.value)
 
     header = tuple(names) + header
-    rows = [row for block, _ in outcomes for row in block]
+    rows = np.concatenate(blocks)
     csv_path = _out_path(args.out, out_names["csv"])
     output.write_csv(csv_path, header, rows)
 
-    stop_reasons = [reason.value for _, reason in outcomes]
     summary = {
         "command": "sweep",
         "task": task,

@@ -412,9 +412,10 @@ def _initial_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * span)
-    # Keep the Euler probe on the sigma > 0 side.
+    # Keep the Euler probe on the sigma > 0 side.  Compare before
+    # dividing: a subnormal rate would overflow the quotient.
     for j in range(nguard):
-        if f0[j] < 0.0:
+        if f0[j] < 0.0 and 0.5 * y0[j] < h0 * -f0[j]:
             h0 = min(h0, -0.5 * y0[j] / f0[j])
     if not h0 > 0.0:
         # The derivative overflowed the error scale (d1 = inf).
@@ -600,6 +601,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     while t < t_end:
         clipped = h >= t_end - t
         h_att = min(h, t_end - t)
+        if not clipped and t + h_att == t:
+            # The step is below the spacing of floats at t.
+            reason = StopReason.STEP_UNDERFLOW
+            break
 
         failure = StopReason.STEP_UNDERFLOW
         try:

@@ -7,8 +7,9 @@ endings and never embed timestamps, keeping repeated runs byte-identical.
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,22 +22,33 @@ __all__ = [
 ]
 
 
+# Rows formatted by one ``%`` in write_csv.
+_CSV_BLOCK = 1024
+
+
 def format_float(value: float) -> str:
     """17-significant-digit decimal form that round-trips exactly."""
     return f"{float(value):.17g}"
 
 
-def write_csv(path, header: Sequence[str],
-              rows: Iterable[Sequence[float]]) -> None:
-    """Write a comma-separated table with a single header line."""
-    lines = [",".join(header)]
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a float table, shape (rows, len(header)), under one header
+    line.
+
+    Cells are formatted a block of rows at a time by one ``%`` with the
+    ``format_float`` spelling; blocks keep the text in memory small.
+    """
     width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(
-                f"row has {len(row)} fields, header has {width}")
-        lines.append(",".join(format_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    table = np.asarray(rows, dtype=float)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"table has shape {table.shape}, header has "
+                         f"{width} fields")
+    line = ",".join(["%.17g"] * width) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> Tuple[List[str], np.ndarray]:
@@ -46,11 +58,14 @@ def read_csv(path) -> Tuple[List[str], np.ndarray]:
     if not lines:
         raise ValueError(f"{path} is empty")
     header = lines[0].split(",")
-    data = np.array([[float(cell) for cell in ln.split(",")]
-                     for ln in lines[1:]], dtype=float)
-    if data.size and data.shape[1] != len(header):
+    body = lines[1:]
+    commas = len(header) - 1
+    if any(ln.count(",") != commas for ln in body):
         raise ValueError(f"{path} rows do not match the header")
-    return header, data
+    # Python's own float() parses each cell, so every value is bit-exact.
+    cells = chain.from_iterable(map(float, ln.split(",")) for ln in body)
+    data = np.fromiter(cells, dtype=float, count=len(body) * len(header))
+    return header, data.reshape(len(body), len(header))
 
 
 def _json_safe(value):
@@ -125,10 +140,10 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(v: float) -> float:
+    def px(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -168,19 +183,14 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
 
     for idx, (label, y) in enumerate(ys):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = []
-        for xv, yv in zip(x, y):
-            if math.isfinite(xv) and math.isfinite(yv):
-                coords.append(f"{px(xv):.2f},{py(yv):.2f}")
-            elif coords:
-                parts.append(f'<polyline points="{" ".join(coords)}" '
-                             f'fill="none" stroke="{color}" '
-                             'stroke-width="1.5"/>')
-                coords = []
-        if coords:
-            parts.append(f'<polyline points="{" ".join(coords)}" '
-                         f'fill="none" stroke="{color}" '
-                         'stroke-width="1.5"/>')
+        ok = np.isfinite(x) & np.isfinite(y)
+        runs = np.flatnonzero(np.diff(ok, prepend=False, append=False))
+        for start, stop in runs.reshape(-1, 2).tolist():
+            xy = np.column_stack((px(x[start:stop]), py(y[start:stop])))
+            points = " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(
+                xy.ravel().tolist())
+            parts.append(f'<polyline points="{points}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16.0 * idx + 4.0
         lx = _MARGIN_L + plot_w - 150.0
         parts.append(f'<line x1="{lx:g}" y1="{ly:g}" x2="{lx + 22:g}" '

@@ -1,15 +1,18 @@
 """Check that two source trees write byte-identical CLI output files.
 
-Runs a fixed config set (simulate for four width models, thermal for
-the integral form on both schemes and the slope form on TR-BDF2, a
-simulate sweep at ``--jobs 1`` and ``--jobs 4``, and ``verify`` of six
-suites) once against each tree, each in a fresh interpreter, and
-compares every CSV, ``summary.json`` and ``verify_report.json`` byte
-for byte.  For a CSV that differs it prints how many data rows differ
-and the largest absolute and relative cell difference.  For every
-``summary.json`` it prints whether the run counters (accepted and
-rejected steps, rhs evaluations, stop reasons) match, and, for one that
-differs, each other key whose value differs with its old and new value.
+Runs a fixed config set (simulate for four width models, one of them
+with an SVG chart, thermal for the integral form on both schemes, the
+explicit one with a chart, and the slope form on TR-BDF2, equilibrium,
+a simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
+explicit thermal CSV, and ``verify`` of six suites) once against each
+tree, each in a fresh interpreter, and compares every CSV, SVG,
+``summary.json`` and ``verify_report.json`` byte for byte.  For a CSV
+that differs it prints how many data rows differ and the largest
+absolute and relative cell difference, for an SVG how many lines
+differ.  For every ``summary.json`` that has run counters (accepted and
+rejected steps, rhs evaluations, stop reasons) it prints whether they
+match, and, for one that differs, each other key whose value differs
+with its old and new value.
 For a ``verify_report.json`` it prints each check whose entry differs
 with the keys that differ, old and new value (``absent`` for a missing
 key).
@@ -36,6 +39,7 @@ CONFIGS = {
         "initial": {"sigma": 1.3, "sigma_dot": 0.4},
         "t_span": [0.0, 12.0],
         "samples": 301,
+        "output": {"svg": "trajectory.svg"},
     }),
     "dissipative": ("simulate", {
         "model": "dissipative",
@@ -65,6 +69,7 @@ CONFIGS = {
         "profile": {"kind": "scaled-coth", "factor": 1.05},
         "t_span": [0.0, 3.0],
         "samples": 31,
+        "output": {"svg": "thermal.svg"},
     }),
     "thermal-slope-implicit": ("thermal", {
         "variant": "beta-derivative",
@@ -83,6 +88,9 @@ CONFIGS = {
         "t_span": [0.0, 4.0],
         "samples": 41,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+    "equilibrium": ("equilibrium", {
+        "params": {"beta": 2.0, "omega0": 1.5, "m": 0.8},
     }),
 }
 
@@ -121,6 +129,9 @@ def _commands(cfg_dir: Path):
     for jobs in ("1", "4"):
         cmds.append((f"sweep-jobs{jobs}",
                      ["sweep", "--config", str(path), "--jobs", jobs]))
+    # "{out}" stands for the tree's output root, known only at run time.
+    cmds.append(("plot-thermal", [
+        "plot", "{out}/thermal-integral-explicit/thermal.csv"]))
     cmds.append(("verify", ["verify", *VERIFY_SUITES]))
     return cmds
 
@@ -132,6 +143,7 @@ def _run_tree(src: Path, cmds, out_root: Path) -> dict:
     for label, argv in cmds:
         out = out_root / label
         out.mkdir(parents=True)
+        argv = [arg.replace("{out}", str(out_root)) for arg in argv]
         proc = subprocess.run(
             [sys.executable, "-c", _RUNNER] + argv
             + ["--out", str(out), "--quiet"],
@@ -169,6 +181,8 @@ def _counters(a: bytes, b: bytes) -> str:
     """Whether the run counters of two summaries match."""
     old, new = json.loads(a), json.loads(b)
     keys = [k for k in _COUNTERS if k in old or k in new]
+    if not keys:
+        return "no counters"
     moved = [f"{k} ({old.get(k, 'absent')!r} -> {new.get(k, 'absent')!r})"
              for k in keys if old.get(k) != new.get(k)]
     if moved:
@@ -209,9 +223,20 @@ def _describe_report(a: bytes, b: bytes) -> str:
     return "\n    ".join(lines)
 
 
+def _describe_svg(a: bytes, b: bytes) -> str:
+    """How many lines of two charts differ."""
+    old, new = a.splitlines(), b.splitlines()
+    moved = sum(x != y for x, y in zip(old, new))
+    return (f"{moved} of {len(old)} lines differ"
+            + (f", {len(old)} -> {len(new)} lines" if len(old) != len(new)
+               else ""))
+
+
 def _describe(rel: Path, a: bytes, b: bytes) -> str:
     if rel.suffix == ".csv":
         return _describe_csv(a, b)
+    if rel.suffix == ".svg":
+        return _describe_svg(a, b)
     if rel.name == "verify_report.json":
         return _describe_report(a, b)
     return _describe_summary(a, b)

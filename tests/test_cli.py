@@ -121,13 +121,14 @@ def test_equilibrium_values_and_stdout(tmp_path, capsys):
 
 
 def test_thermal_rows_are_time_major(tmp_path):
-    cfg = _write_config(tmp_path, {
+    payload = {
         "variant": "beta-derivative",
         "params": {"b": 80.0},
         "grid": {"beta_min": 0.8, "beta_max": 2.4, "beta_count": 5},
         "t_span": [0.0, 0.5],
         "samples": 3,
-    })
+    }
+    cfg = _write_config(tmp_path, payload)
     rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path),
                    "--quiet"])
     assert rc == 0
@@ -140,6 +141,10 @@ def test_thermal_rows_are_time_major(tmp_path):
     assert np.allclose(betas, np.linspace(0.8, 2.4, 5), rtol=1e-12)
     # every time block repeats the same beta column
     assert np.array_equal(data[5:10, 1], betas)
+    # the first block is the start profile at rest, node by node
+    start = cli._initial_profile(cli._parse_thermal(payload))
+    assert np.array_equal(data[:5, 2], start)
+    assert np.array_equal(data[:5, 3], np.zeros(5))
 
 
 def test_sweep_two_parameters_lexicographic(tmp_path):
@@ -236,6 +241,28 @@ def test_simulate_overflowing_initial_rate_exits_2(tmp_path):
     assert summary["rows"] == 1
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[1:] == ["0,1,1e+308,inf"]
+
+
+def test_span_below_float_spacing_exits_2_with_a_summary(tmp_path):
+    # At t = 2**52 floats are 1 apart, far coarser than the first step:
+    # the driver used to accept a million steps that left t unchanged,
+    # and the chart of that run then raised before the summary.
+    cfg = _write_config(tmp_path, {
+        "model": "conservative",
+        "initial": {"sigma": 1.0},
+        "t_span": [2.0**52, 2.0**52 + 64.0],
+        "samples": 5,
+        "output": {"svg": "w.svg"},
+    })
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "step_underflow"
+    assert summary["t_reached"] == 2.0**52
+    assert summary["steps_accepted"] == 0
+    assert summary["rows"] == 1 and summary["svg"] is None
+    assert not (tmp_path / "w.svg").exists()
 
 
 def test_overdamped_width_at_float_max_ends_like_second_order(tmp_path):
@@ -387,6 +414,18 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "unknown key: integrator.rel_tol_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400],
+                         ids=["1e400", "-1e400"])
+def test_integer_beyond_float_range_exits_1(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, {"model": "conservative",
+                                   "initial": {"sigma": value},
+                                   "t_span": [0.0, 1.0]})
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("config error: initial.sigma must be a finite number"
+            in capsys.readouterr().err)
 
 
 def test_unknown_model_exits_1(tmp_path, capsys):

@@ -21,7 +21,8 @@ from ermakov.models import ModelVariant
 from ermakov.thermal import ThermalVariant
 
 _EXTREMES = (0.0, -0.0, 5e-324, 1e-308, 1e-300, 1e-150, 1e150, 1e300,
-             1e308, -1e308, sys.float_info.max, -sys.float_info.max)
+             1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+             10**400, -10**400)
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from(_EXTREMES), st.integers(-3, 3))
 _WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -187,6 +188,9 @@ _CONFIGS = st.one_of(
 @example(case=("simulate", {
     "model": "conservative", "initial": {"sigma": 1.0}, "t_span": [0, 1],
     "integrator": {"scheme": [0]}}))
+@example(case=("simulate", {
+    "model": "conservative", "initial": {"sigma": 10**400},
+    "t_span": [0, 1]}))
 def test_cli_ends_in_an_exit_code(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,14 +2,15 @@
 
 Each property holds for any correct adaptive driver, whatever its
 internal arithmetic: node times strictly increase and end exactly at
-``t_end`` on COMPLETED, ``sample`` returns the nodes exactly, ``n_rhs``
-equals the model calls the run makes, and damped runs never gain
-energy between nodes by more than a slack tied to the tolerance.
+``t_end`` on COMPLETED, from any start time, ``sample`` returns the
+nodes exactly, ``n_rhs`` equals the model calls the run makes, and
+damped runs never gain energy between nodes by more than a slack tied
+to the tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from ermakov import core, integrators, models
 from ermakov.core import PhysicalParams, State
@@ -38,7 +39,7 @@ _PARAMS = {
 _ENTRY_POINTS = ("acceleration", "radiative_jerk", "overdamped_velocity")
 
 
-def _counted_run(monkeypatch, variant, sigma0, rate0, t_end):
+def _counted_run(monkeypatch, variant, sigma0, rate0, t_span):
     calls = [0]
     for name in _ENTRY_POINTS:
         real = getattr(models, name)
@@ -53,11 +54,11 @@ def _counted_run(monkeypatch, variant, sigma0, rate0, t_end):
                            max_steps=5000)
     if variant in OVERDAMPED_VARIANTS:
         traj, reason = integrators.integrate_overdamped(
-            variant, sigma0, (0.0, t_end), params, cfg)
+            variant, sigma0, t_span, params, cfg)
         calls[0] -= traj.times.size
     else:
         traj, reason = integrators.integrate(
-            variant, State(sigma0, rate0), (0.0, t_end), params, cfg)
+            variant, State(sigma0, rate0), t_span, params, cfg)
     return traj, reason, calls[0]
 
 
@@ -66,10 +67,13 @@ def _counted_run(monkeypatch, variant, sigma0, rate0, t_end):
 @given(sigma0=strategies.floats(0.3, 3.0),
        rate0=strategies.floats(-1.0, 1.0),
        t_end=strategies.floats(0.05, 6.0))
+# A subnormal negative rate: the first-step heuristic used to overflow
+# dividing by it, leaking a RuntimeWarning.
+@example(sigma0=1.0, rate0=-5e-324, t_end=1.0)
 def test_driver_invariants(variant, sigma0, rate0, t_end):
     with pytest.MonkeyPatch.context() as monkeypatch:
         traj, reason, model_calls = _counted_run(monkeypatch, variant,
-                                                 sigma0, rate0, t_end)
+                                                 sigma0, rate0, (0.0, t_end))
     assert reason in (StopReason.COMPLETED, StopReason.RUNAWAY_DETECTED)
     if variant is not ModelVariant.RADIATIVE_NAIVE:
         assert reason is StopReason.COMPLETED
@@ -79,6 +83,31 @@ def test_driver_invariants(variant, sigma0, rate0, t_end):
         assert traj.times[-1] == t_end
     assert traj.n_accepted == traj.times.size - 1
     assert np.array_equal(traj.sample(traj.times), traj.states)
+    assert traj.n_rhs == model_calls
+
+
+@pytest.mark.parametrize("variant", list(_PARAMS), ids=lambda v: v.value)
+@settings(max_examples=12, deadline=None)
+@given(sigma0=strategies.floats(0.3, 3.0),
+       rate0=strategies.floats(-1.0, 1.0),
+       t0=strategies.floats(-2.0**40, 2.0**40),
+       length=strategies.floats(0.05, 6.0))
+# Far from zero the spacing of floats (1 at 2**52) exceeds the steps the
+# tolerance asks for, so no step can advance t.
+@example(sigma0=1.0, rate0=0.0, t0=2.0**52, length=64.0)
+def test_times_strictly_increase_from_any_start(variant, sigma0, rate0, t0,
+                                                length):
+    t_end = t0 + length
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        traj, reason, model_calls = _counted_run(monkeypatch, variant,
+                                                 sigma0, rate0, (t0, t_end))
+    assert reason in (StopReason.COMPLETED, StopReason.RUNAWAY_DETECTED,
+                      StopReason.STEP_UNDERFLOW)
+    assert np.all(np.diff(traj.times) > 0.0)
+    assert traj.times[0] == t0
+    if reason is StopReason.COMPLETED:
+        assert traj.times[-1] == t_end
+    assert traj.n_accepted == traj.times.size - 1
     assert traj.n_rhs == model_calls
 
 
