@@ -47,6 +47,9 @@ _MAX_ROWS = 1_000_000
 # Most thermal grid nodes: TR-BDF2 builds dense (n, n) matrices, 32 MB
 # each at this size.
 _MAX_NODES = 2000
+# Most steps one run may take, and the default: the library's default of
+# a million steps lets a short config run for about a minute.
+_MAX_STEPS = 100_000
 
 
 class ConfigError(ValueError):
@@ -148,18 +151,19 @@ def _parse_params(obj: Optional[dict], where: str = "params"
 
 
 def _parse_integrator(obj: Optional[dict]) -> IntegratorConfig:
-    if obj is None:
-        return IntegratorConfig()
-    _mapping(obj, "integrator")
+    obj = {} if obj is None else _mapping(obj, "integrator")
     _check_keys(obj, ("scheme", "rel_tol", "abs_tol", "h_init", "h_min",
                       "h_max", "max_steps", "sigma_min_guard",
                       "runaway_ratio"), "integrator")
-    kwargs: Dict[str, object] = {}
+    kwargs: Dict[str, object] = {"max_steps": _MAX_STEPS}
     for key, value in obj.items():
         if key == "scheme":
             kwargs[key] = _choice(value, _SCHEMES, "integrator.scheme")
         elif key == "max_steps":
             kwargs[key] = _integer(value, "integrator.max_steps")
+            if kwargs[key] > _MAX_STEPS:
+                raise ConfigError(
+                    f"integrator.max_steps must be at most {_MAX_STEPS}")
         else:
             kwargs[key] = _number(value, f"integrator.{key}")
     try:
@@ -200,11 +204,24 @@ def _parse_output(obj: Optional[dict], default_csv: str) -> Dict[str, str]:
     return names
 
 
+def _parse_run(cfg: dict, own_keys: Tuple[str, ...],
+               default_csv: str) -> dict:
+    """The keys every integrating task shares; ``own_keys`` names the
+    task's other top-level keys, which the task parses itself."""
+    _check_keys(cfg, own_keys + ("params", "t_span", "samples",
+                                 "integrator", "output"), "")
+    return {
+        "params": _parse_params(cfg.get("params")),
+        "t_span": _parse_span(_need(cfg, "t_span", "")),
+        "samples": _parse_samples(cfg),
+        "integrator": _parse_integrator(cfg.get("integrator")),
+        "output": _parse_output(cfg.get("output"), default_csv),
+    }
+
+
 def _parse_simulate(cfg: dict) -> dict:
-    _check_keys(cfg, ("model", "params", "initial", "t_span", "samples",
-                      "integrator", "output"), "")
+    parsed = _parse_run(cfg, ("model", "initial"), "trajectory.csv")
     variant = _choice(_need(cfg, "model", ""), _MODEL_NAMES, "model")
-    params = _parse_params(cfg.get("params"))
     initial_obj = _mapping(_need(cfg, "initial", ""), "initial")
     if variant in OVERDAMPED_VARIANTS:
         _check_keys(initial_obj, ("sigma",), "initial")
@@ -225,18 +242,8 @@ def _parse_simulate(cfg: dict) -> dict:
                                      "initial.sigma_ddot"))
         else:
             initial = State(sigma, sigma_dot)
-    t_span = _parse_span(_need(cfg, "t_span", ""))
-    samples = _parse_samples(cfg)
-    return {
-        "variant": variant,
-        "params": params,
-        "initial": initial,
-        "t_span": t_span,
-        "samples": samples,
-        "rows": samples,
-        "integrator": _parse_integrator(cfg.get("integrator")),
-        "output": _parse_output(cfg.get("output"), "trajectory.csv"),
-    }
+    parsed.update(variant=variant, initial=initial, rows=parsed["samples"])
+    return parsed
 
 
 def _parse_profile(obj: Optional[dict]) -> dict:
@@ -270,8 +277,7 @@ def _parse_profile(obj: Optional[dict]) -> dict:
 
 
 def _parse_thermal(cfg: dict) -> dict:
-    _check_keys(cfg, ("variant", "params", "grid", "profile", "t_span",
-                      "samples", "integrator", "output"), "")
+    parsed = _parse_run(cfg, ("variant", "grid", "profile"), "thermal.csv")
     variant = _choice(_need(cfg, "variant", ""), _THERMAL_NAMES, "variant")
     grid_obj = _mapping(_need(cfg, "grid", ""), "grid")
     _check_keys(grid_obj, ("beta_min", "beta_max", "beta_count"), "grid")
@@ -285,26 +291,13 @@ def _parse_thermal(cfg: dict) -> dict:
         raise ConfigError(f"grid: {exc}")
     if grid.count > _MAX_NODES:
         raise ConfigError(f"grid.beta_count must be at most {_MAX_NODES}")
-    samples = _parse_samples(cfg)
-    if samples * grid.count > _MAX_ROWS:
+    rows = parsed["samples"] * grid.count
+    if rows > _MAX_ROWS:
         raise ConfigError(f"samples x grid.beta_count (the CSV rows) must "
                           f"be at most {_MAX_ROWS}")
-    params = _parse_params(cfg.get("params"))
-    if params.is_zero_temperature:
-        # The grid supplies per-node temperatures; the scalar slot only
-        # has to be finite, so borrow the coldest node.
-        params = params.with_(beta=grid.beta_max)
-    return {
-        "variant": variant,
-        "params": params,
-        "grid": grid,
-        "profile": _parse_profile(cfg.get("profile")),
-        "t_span": _parse_span(_need(cfg, "t_span", "")),
-        "samples": samples,
-        "rows": samples * grid.count,
-        "integrator": _parse_integrator(cfg.get("integrator")),
-        "output": _parse_output(cfg.get("output"), "thermal.csv"),
-    }
+    parsed.update(variant=variant, grid=grid,
+                  profile=_parse_profile(cfg.get("profile")), rows=rows)
+    return parsed
 
 
 def _parse_equilibrium(cfg: dict) -> dict:
@@ -358,6 +351,15 @@ def _run_trajectory(parsed: dict):
     return np.column_stack((ts, got[:, 0], got[:, 1], energy)), traj, reason
 
 
+def _describe_trajectory(parsed: dict, table: np.ndarray):
+    """A width run's own summary keys, chart x values and series."""
+    keys = {"model": parsed["variant"].value,
+            "sigma_final": float(table[-1, 1]),
+            "sigma_dot_final": float(table[-1, 2]),
+            "energy_final": float(table[-1, 3])}
+    return keys, table[:, 0], [("sigma", table[:, 1])]
+
+
 def _initial_profile(parsed: dict) -> np.ndarray:
     grid, profile = parsed["grid"], parsed["profile"]
     if profile["kind"] in ("coth", "scaled-coth"):
@@ -396,6 +398,20 @@ def _run_thermal(parsed: dict):
     return table, traj, reason
 
 
+def _describe_thermal(parsed: dict, table: np.ndarray):
+    """A field run's own summary keys, and its chart: the widths at the
+    hottest, middle and coldest nodes over time."""
+    grid = parsed["grid"]
+    ts = table[::grid.count, 0]
+    sig = table[:, 2].reshape(ts.size, grid.count)
+    picks = (0, grid.count // 2, grid.count - 1)
+    series = [(f"beta={grid.nodes[j]:.5g}", sig[:, j]) for j in picks]
+    keys = {"variant": parsed["variant"].value,
+            "beta_min": grid.beta_min, "beta_max": grid.beta_max,
+            "beta_count": grid.count, "profile": parsed["profile"]["kind"]}
+    return keys, ts, series
+
+
 def _run_equilibrium(parsed: dict):
     """The closed-form widths; returns (table, None, reason) like the
     integrating tasks."""
@@ -417,82 +433,52 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def _chart_name(names: Dict[str, str], traj) -> Optional[str]:
-    """The requested SVG name, or None for a run that never advanced:
-    its one output time makes no line to draw."""
-    return names["svg"] if traj.times.size > 1 else None
-
-
 # ------------------------------------------------------------ commands
 
-def _cmd_simulate(args) -> int:
-    parsed = _parse_simulate(_load_config(args.config))
-    rows, traj, reason = _run_trajectory(parsed)
-    names = parsed["output"]
-    csv_path = _out_path(args.out, names["csv"])
-    output.write_csv(csv_path, _TRAJECTORY_HEADER, rows)
-    svg_name = _chart_name(names, traj)
-    if svg_name:
-        svg = output.polyline_chart(rows[:, 0], [("sigma", rows[:, 1])],
-                                    parsed["variant"].value, "t", "sigma")
-        _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
-    summary = {
-        "command": "simulate",
-        "model": parsed["variant"].value,
-        "stop_reason": reason.value,
-        "t_requested": list(parsed["t_span"]),
-        "t_reached": float(traj.times[-1]),
-        "rows": len(rows),
-        "csv": names["csv"],
-        "svg": svg_name,
-        "sigma_final": float(rows[-1, 1]),
-        "sigma_dot_final": float(rows[-1, 2]),
-        "energy_final": float(rows[-1, 3]),
-        "steps_accepted": traj.n_accepted,
-        "steps_rejected": traj.n_rejected,
-        "rhs_evaluations": traj.n_rhs,
-    }
-    output.write_json(_out_path(args.out, names["summary"]), summary)
-    _say(args.quiet, f"wrote {csv_path} ({len(rows)} rows), "
-         f"stop reason {reason.value}")
-    return EXIT_OK if reason is StopReason.COMPLETED else EXIT_STOPPED
+# task -> (parse, run, header, describe).  run(parsed) returns (table,
+# trajectory, reason), and every parsed config carries its CSV row count
+# as "rows".  describe(parsed, table) returns the task's own summary keys
+# and its chart's x values and series; equilibrium has no run to chart.
+_TASKS = {
+    "simulate": (_parse_simulate, _run_trajectory, _TRAJECTORY_HEADER,
+                 _describe_trajectory),
+    "thermal": (_parse_thermal, _run_thermal, _THERMAL_HEADER,
+                _describe_thermal),
+    "equilibrium": (_parse_equilibrium, _run_equilibrium,
+                    _EQUILIBRIUM_HEADER, None),
+}
 
 
-def _cmd_thermal(args) -> int:
-    parsed = _parse_thermal(_load_config(args.config))
-    rows, traj, reason = _run_thermal(parsed)
+def _cmd_run(args) -> int:
+    """``simulate`` and ``thermal``: one run to a CSV, an optional chart
+    and a summary."""
+    parse, run, header, describe = _TASKS[args.command]
+    parsed = parse(_load_config(args.config))
+    table, traj, reason = run(parsed)
     names = parsed["output"]
     csv_path = _out_path(args.out, names["csv"])
-    output.write_csv(csv_path, _THERMAL_HEADER, rows)
-    grid = parsed["grid"]
-    svg_name = _chart_name(names, traj)
+    output.write_csv(csv_path, header, table)
+    summary, x, series = describe(parsed, table)
+    # A run that never advanced has one output time: no line to draw.
+    svg_name = names["svg"] if traj.times.size > 1 else None
     if svg_name:
-        ts = rows[::grid.count, 0]
-        sig = rows[:, 2].reshape(ts.size, grid.count)
-        picks = (0, grid.count // 2, grid.count - 1)
-        series = [(f"beta={grid.nodes[j]:.5g}", sig[:, j]) for j in picks]
-        svg = output.polyline_chart(ts, series, parsed["variant"].value,
+        svg = output.polyline_chart(x, series, parsed["variant"].value,
                                     "t", "sigma")
         _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
-    summary = {
-        "command": "thermal",
-        "variant": parsed["variant"].value,
+    summary.update({
+        "command": args.command,
         "stop_reason": reason.value,
         "t_requested": list(parsed["t_span"]),
         "t_reached": float(traj.times[-1]),
-        "beta_min": grid.beta_min,
-        "beta_max": grid.beta_max,
-        "beta_count": grid.count,
-        "profile": parsed["profile"]["kind"],
-        "rows": len(rows),
+        "rows": len(table),
         "csv": names["csv"],
         "svg": svg_name,
         "steps_accepted": traj.n_accepted,
         "steps_rejected": traj.n_rejected,
         "rhs_evaluations": traj.n_rhs,
-    }
+    })
     output.write_json(_out_path(args.out, names["summary"]), summary)
-    _say(args.quiet, f"wrote {csv_path} ({len(rows)} rows), "
+    _say(args.quiet, f"wrote {csv_path} ({len(table)} rows), "
          f"stop reason {reason.value}")
     return EXIT_OK if reason is StopReason.COMPLETED else EXIT_STOPPED
 
@@ -529,22 +515,10 @@ def _set_by_path(cfg: dict, path: str, value: float) -> None:
     node[parts[-1]] = value
 
 
-# task -> (parse, run, header); run(parsed) returns (table, trajectory,
-# reason), and every parsed config carries its CSV row count as "rows".
-_SWEEP_TASKS = {
-    "simulate": (_parse_simulate, _run_trajectory, _TRAJECTORY_HEADER),
-    "thermal": (_parse_thermal, _run_thermal, _THERMAL_HEADER),
-    "equilibrium": (_parse_equilibrium, _run_equilibrium,
-                    _EQUILIBRIUM_HEADER),
-}
-
-
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
     cfg = _load_config(args.config)
     task = _need(cfg, "task", "")
-    parse, run, header = _choice(task, _SWEEP_TASKS, "task")
+    parse, run, header, _ = _choice(task, _TASKS, "task")
     sweep_obj = _mapping(_need(cfg, "sweep", ""), "sweep")
     if not 1 <= len(sweep_obj) <= 2:
         raise ConfigError("sweep takes one or two swept parameters")
@@ -574,7 +548,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"the sweep's points would write {total} rows; "
                           f"at most {_MAX_ROWS} are allowed")
 
-    # --jobs is validated but the points run serially, in sweep order.
+    # The points run serially, in sweep order, whatever --jobs says.
     blocks, stop_reasons = [], []
     for point, parsed in zip(points, parsed_points):
         table, _, reason = run(parsed)
@@ -607,8 +581,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     wanted = tuple(args.suites) if args.suites else "all"
     try:
-        report = verification.run_suites(wanted, rel_tol=args.rel_tol,
-                                         jobs=args.jobs)
+        report = verification.run_suites(wanted, rel_tol=args.rel_tol)
     except ValueError as exc:
         raise ConfigError(str(exc))
     for result in report.results:
@@ -644,6 +617,14 @@ def _cmd_plot(args) -> int:
 
 # -------------------------------------------------------------- parser
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` value, validated though every run is serial."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("jobs must be at least 1")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", metavar="DIR",
@@ -662,16 +643,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[withcfg, common],
                        help="integrate one width trajectory to CSV")
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("thermal", parents=[withcfg, common],
                        help="integrate a width profile over an inverse-"
                             "temperature grid")
-    p.set_defaults(handler=_cmd_thermal)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep", parents=[withcfg, common],
                        help="repeat a task over one or two parameter grids")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="accepted for compatibility; points run "
                         "serially (default: 1)")
     p.set_defaults(handler=_cmd_sweep)
@@ -685,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suites", nargs="*", metavar="SUITE",
                    help="suite names (default: all); see "
                         + ", ".join(verification.suite_names()))
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="accepted for compatibility; suites run "
                         "serially (default: 1)")
     p.add_argument("--rel-tol", type=float, default=None, metavar="TOL",

@@ -439,7 +439,8 @@ class Trajectory:
 
     ``states`` has one row per node; columns are width, width rate and,
     for third-order runs, width acceleration.  ``step_sizes[i]`` is the
-    step that produced node i (zero for the first node) and
+    step that produced node i, exactly ``times[i] - times[i - 1]`` (zero
+    for the first node), and
     ``error_estimates[i]`` the scaled local error accepted there.
     ``sample`` evaluates the interpolant anywhere inside the covered
     interval; times equal to a node return the node values exactly.
@@ -599,12 +600,16 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     reason = StopReason.COMPLETED
 
     while t < t_end:
-        clipped = h >= t_end - t
-        h_att = min(h, t_end - t)
-        if not clipped and t + h_att == t:
+        # The node the step lands on, rounded toward t so that the
+        # spacing the node really has, h_att, never exceeds h.
+        t_new = t_end if h >= t_end - t else t + h
+        if t_new - t > h:
+            t_new = math.nextafter(t_new, t)
+        if t_new == t:
             # The step is below the spacing of floats at t.
             reason = StopReason.STEP_UNDERFLOW
             break
+        h_att = t_new - t
 
         failure = StopReason.STEP_UNDERFLOW
         try:
@@ -629,7 +634,7 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             continue
 
         # Accept the node.
-        t = t_end if clipped else t + h_att
+        t = t_new
         y = y1
         f0 = f1
         times.append(t)

@@ -376,16 +376,14 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
     """Integrate a thermal field in time.
 
     The stacked state is [widths, width rates].  The positivity guard
-    covers every width node.  Returns (ThermalTrajectory, StopReason).
+    covers every width node.  The grid supplies the temperatures, so
+    ``params.beta`` is not read and may be ``ZERO_TEMPERATURE``.  Returns
+    (ThermalTrajectory, StopReason).
     """
     if config is None:
         config = IntegratorConfig()
     if not isinstance(variant, ThermalVariant):
         raise TypeError("variant must be a ThermalVariant member")
-    if params.is_zero_temperature:
-        raise ValueError("thermal evolution needs a finite-temperature "
-                         "parameter set; the grid supplies the per-node "
-                         "inverse temperatures")
     t0, t1 = _check_span(t_span)
     grid = initial.grid
     n = grid.count
@@ -420,9 +418,6 @@ def stationary_profile(variant: ThermalVariant, grid: BetaGrid,
     if params.omega0 <= 0.0:
         raise ValueError("relaxation requires omega0 > 0")
     relax_params = params
-    if relax_params.is_zero_temperature:
-        # The evolution only reads temperature off the grid nodes.
-        relax_params = relax_params.with_(beta=grid.beta_max)
     if relax_params.b <= 0.0:
         relax_params = relax_params.with_(b=2.0 * params.m * params.omega0)
     if t_relax is None:

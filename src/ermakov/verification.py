@@ -746,16 +746,14 @@ def suite_names() -> Tuple[str, ...]:
 
 
 def run_suites(names: Union[str, Sequence[str]] = "all",
-               rel_tol: Optional[float] = None,
-               jobs: int = 1) -> Report:
+               rel_tol: Optional[float] = None) -> Report:
     """Run verification suites and collect a report.
 
     ``names`` is a suite name, a sequence of them, or ``"all"``.
     ``rel_tol`` overrides the relative tolerance of every integration a
     check performs (the pass bounds stay fixed, so a loose override
-    makes integration-backed checks fail).  ``jobs`` must be at least 1
-    and has no effect on speed: the suites run serially, and results
-    keep suite order whatever its value.
+    makes integration-backed checks fail).  The suites run serially, and
+    results keep suite order.
     """
     if isinstance(names, str):
         wanted = list(_SUITES) if names == "all" else [names]
@@ -767,8 +765,6 @@ def run_suites(names: Union[str, Sequence[str]] = "all",
         if name not in _SUITES:
             raise ValueError(
                 f"unknown suite {name!r}; valid: {', '.join(_SUITES)}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if rel_tol is not None and not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol override must lie in (0, 1)")
 

@@ -1,15 +1,16 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for four width models, one of them
-with an SVG chart, thermal for the integral form on both schemes, the
-explicit one with a chart, and the slope form on TR-BDF2, equilibrium,
-a simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
-explicit thermal CSV, and ``verify`` of six suites) once against each
-tree, each in a fresh interpreter, and compares every CSV, SVG,
-``summary.json`` and ``verify_report.json`` byte for byte.  For a CSV
-that differs it prints how many data rows differ and the largest
-absolute and relative cell difference, for an SVG how many lines
-differ.  For every ``summary.json`` that has run counters (accepted and
+with an SVG chart, and a conservative run stopped by ``max_steps``,
+thermal for the integral form on both schemes, the explicit one with a
+chart, and the slope form on TR-BDF2 and, without params, at zero
+temperature, equilibrium, a simulate sweep at ``--jobs 1`` and
+``--jobs 4``, ``plot`` of the explicit thermal CSV, and ``verify`` of
+six suites) once against each tree, each in a fresh interpreter, and
+compares every CSV, SVG, ``summary.json`` and ``verify_report.json``
+byte for byte.  For a CSV that differs it prints how many data rows
+differ and the largest absolute and relative cell difference, for an
+SVG how many lines differ.  For every ``summary.json`` that has run counters (accepted and
 rejected steps, rhs evaluations, stop reasons) it prints whether they
 match, and, for one that differs, each other key whose value differs
 with its old and new value.
@@ -88,6 +89,22 @@ CONFIGS = {
         "t_span": [0.0, 4.0],
         "samples": 41,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+    # No params: the zero-temperature default, which the grid overrides.
+    "thermal-zero-temperature": ("thermal", {
+        "variant": "beta-derivative",
+        "grid": {"beta_min": 0.5, "beta_max": 3.0, "beta_count": 11},
+        "profile": {"kind": "scaled-coth", "factor": 1.1},
+        "t_span": [0.0, 2.0],
+        "samples": 21,
+    }),
+    # Stops at its step budget, exit 2.
+    "max-steps": ("simulate", {
+        "model": "conservative",
+        "initial": {"sigma": 1.3, "sigma_dot": 0.4},
+        "t_span": [0.0, 100.0],
+        "samples": 51,
+        "integrator": {"max_steps": 50},
     }),
     "equilibrium": ("equilibrium", {
         "params": {"beta": 2.0, "omega0": 1.5, "m": 0.8},

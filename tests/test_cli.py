@@ -371,6 +371,42 @@ def test_samples_bound_exits_1(tmp_path, capsys, command, payload,
     assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
+def test_step_budget_is_the_default_max_steps():
+    assert cli._MAX_STEPS == 100_000
+    assert cli._parse_integrator(None).max_steps == cli._MAX_STEPS
+    assert cli._parse_integrator({"rel_tol": 1e-8}).max_steps \
+        == cli._MAX_STEPS
+    assert cli._parse_integrator({"max_steps": 7}).max_steps == 7
+
+
+def test_max_steps_above_the_budget_exits_1(tmp_path, capsys):
+    cfg = _free_config(tmp_path, integrator={"max_steps": 100_001})
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "integrator.max_steps must be at most 100000" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+
+def test_run_at_the_step_budget_exits_2_with_a_summary(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_STEPS", 20)
+    cfg = _write_config(tmp_path, {
+        "model": "conservative",
+        "initial": {"sigma": 2.56},
+        "t_span": [0.0, 1e7],
+        "samples": 5,
+    })
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "max_steps"
+    assert summary["steps_accepted"] == 20
+    assert 0.0 < summary["t_reached"] < 1e7
+    assert summary["rows"] == 5
+
+
 @pytest.mark.parametrize("sweep, message", [
     # 1,200 points of 1,000 rows each: rejected before any point runs.
     ({"initial.sigma": [1.0 + i / 40 for i in range(40)],
@@ -385,8 +421,8 @@ def test_sweep_total_rows_bound_exits_1(tmp_path, capsys, monkeypatch,
     def no_run(parsed):
         raise AssertionError("a point ran")
 
-    monkeypatch.setitem(cli._SWEEP_TASKS, "simulate", (
-        cli._parse_simulate, no_run, cli._TRAJECTORY_HEADER))
+    monkeypatch.setitem(cli._TASKS, "simulate", (
+        cli._parse_simulate, no_run, cli._TRAJECTORY_HEADER, None))
     cfg = _write_config(tmp_path, {
         "task": "simulate", "model": "conservative",
         "initial": {"sigma": 1.0}, "t_span": [0.0, 1.0], "samples": 1000,

@@ -81,7 +81,7 @@ _INTEGRATOR = _mostly(_section(
      "h_init": _positive(1e-6, 0.5), "h_min": _positive(1e-14, 1e-6),
      "h_max": _positive(0.01, 10.0), "sigma_min_guard": _positive(0.0, 0.01),
      "runaway_ratio": _positive(1.5, 1e6)}),
-    # null would mean the defaults, up to a million steps
+    # null would mean the defaults, up to 100,000 steps
     _WRONG.filter(lambda value: value is not None))
 
 _SPAN = _mostly(st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 3.0)).map(

@@ -2,10 +2,10 @@
 
 Each property holds for any correct adaptive driver, whatever its
 internal arithmetic: node times strictly increase and end exactly at
-``t_end`` on COMPLETED, from any start time, ``sample`` returns the
-nodes exactly, ``n_rhs`` equals the model calls the run makes, and
-damped runs never gain energy between nodes by more than a slack tied
-to the tolerance.
+``t_end`` on COMPLETED, from any start time, node spacings equal the
+recorded step sizes, ``sample`` returns the nodes exactly, ``n_rhs``
+equals the model calls the run makes, and damped runs never gain energy
+between nodes by more than a slack tied to the tolerance.
 """
 
 import numpy as np
@@ -95,6 +95,9 @@ def test_driver_invariants(variant, sigma0, rate0, t_end):
 # Far from zero the spacing of floats (1 at 2**52) exceeds the steps the
 # tolerance asks for, so no step can advance t.
 @example(sigma0=1.0, rate0=0.0, t0=2.0**52, length=64.0)
+# At 1e9 t + h rounds; the state must be integrated over the step the
+# node spacing really is.
+@example(sigma0=1.3, rate0=0.4, t0=1e9, length=5.0)
 def test_times_strictly_increase_from_any_start(variant, sigma0, rate0, t0,
                                                 length):
     t_end = t0 + length
@@ -104,6 +107,7 @@ def test_times_strictly_increase_from_any_start(variant, sigma0, rate0, t0,
     assert reason in (StopReason.COMPLETED, StopReason.RUNAWAY_DETECTED,
                       StopReason.STEP_UNDERFLOW)
     assert np.all(np.diff(traj.times) > 0.0)
+    assert np.array_equal(np.diff(traj.times), traj.step_sizes[1:])
     assert traj.times[0] == t0
     if reason is StopReason.COMPLETED:
         assert traj.times[-1] == t_end

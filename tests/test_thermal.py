@@ -242,9 +242,6 @@ def test_unknown_variant_rejected():
 def test_integrate_thermal_validation():
     grid = BetaGrid.from_range(0.5, 2.0, 6)
     field = ThermalField.at_rest(grid, 1.0)
-    with pytest.raises(ValueError, match="finite-temperature"):
-        thermal.integrate_thermal(ThermalVariant.INTEGRAL_FORM, field,
-                                  (0.0, 1.0), PhysicalParams())
     with pytest.raises(TypeError, match="ThermalVariant"):
         thermal.integrate_thermal("integral", field, (0.0, 1.0), P)
     with pytest.raises(ValueError, match="t_end"):
@@ -254,6 +251,25 @@ def test_integrate_thermal_validation():
     with pytest.raises(ValueError, match="sigma_min_guard"):
         thermal.integrate_thermal(ThermalVariant.INTEGRAL_FORM, tiny,
                                   (0.0, 1.0), P)
+
+
+def test_zero_temperature_params_run_like_a_finite_beta():
+    # The grid supplies every temperature, so params.beta is never read.
+    grid = BetaGrid.from_range(0.8, 3.0, 12)
+    cold = PhysicalParams(b=2.0)
+    warm = cold.with_(beta=grid.beta_max)
+    start = ThermalField.at_rest(grid, 1.1)
+    config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+    runs = [thermal.integrate_thermal(ThermalVariant.INTEGRAL_FORM, start,
+                                      (0.0, 2.0), params, config)
+            for params in (cold, warm)]
+    assert runs[0][1] is runs[1][1] is StopReason.COMPLETED
+    assert np.array_equal(runs[0][0].times, runs[1][0].times)
+    assert np.array_equal(runs[0][0].states, runs[1][0].states)
+    profiles = [thermal.stationary_profile(
+        ThermalVariant.BETA_DERIVATIVE, grid, params, t_relax=5.0,
+        config=config) for params in (cold, warm)]
+    assert np.array_equal(profiles[0], profiles[1])
 
 
 def test_thermal_trajectory_sampling_and_field_roundtrip():

@@ -19,8 +19,6 @@ def test_argument_validation():
         verification.run_suites("pinneyy")
     with pytest.raises(ValueError, match="unknown suite"):
         verification.run_suites(["free-particle", "nope"])
-    with pytest.raises(ValueError, match="jobs"):
-        verification.run_suites("free-particle", jobs=0)
     with pytest.raises(ValueError, match="rel_tol"):
         verification.run_suites("free-particle", rel_tol=1.5)
     with pytest.raises(ValueError, match="rel_tol"):
@@ -73,13 +71,6 @@ def test_detects_wrong_model_acceleration(monkeypatch):
     monkeypatch.setattr(models, "conservative_acceleration", skewed)
     report = verification.run_suites("free-particle")
     assert not report.passed
-
-
-def test_parallel_runs_match_serial():
-    names = ("free-particle", "energy", "overdamped", "madelung")
-    serial = verification.run_suites(names, jobs=1)
-    parallel = verification.run_suites(names, jobs=3)
-    assert serial.to_dict() == parallel.to_dict()
 
 
 def test_electron_scale_check_uses_physical_constants():
