@@ -15,6 +15,7 @@ byte-identical across repeated runs of the same configuration.
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -44,12 +45,16 @@ _THERMAL_NAMES = {variant.value: variant for variant in ThermalVariant}
 # Most rows one run or one sweep may write to its CSV; every row is held
 # in memory.
 _MAX_ROWS = 1_000_000
-# Most thermal grid nodes: TR-BDF2 builds dense (n, n) matrices, 32 MB
-# each at this size.
+# Most thermal grid nodes: each TR-BDF2 attempt holds dense (n, n)
+# matrices (the Jacobian, the Newton matrix and its inverse), 32 MB each
+# at this size.
 _MAX_NODES = 2000
 # Most steps one run may take, and the default: the library's default of
 # a million steps lets a short config run for about a minute.
 _MAX_STEPS = 100_000
+# Most steps the points of one sweep may take together.  A point without
+# its own integrator.max_steps gets an equal share, at most _MAX_STEPS.
+_MAX_SWEEP_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -537,16 +542,28 @@ def _cmd_sweep(args) -> int:
     if math.prod(len(grid) for grid in grids) > _MAX_ROWS:
         raise ConfigError(f"a sweep may have at most {_MAX_ROWS} points")
     points = list(itertools.product(*grids))
+    share = min(_MAX_STEPS, _MAX_SWEEP_STEPS // len(points))
     parsed_points = []
+    steps = 0
     for point in points:
         local = copy.deepcopy(base)
         for name, value in zip(names, point):
             _set_by_path(local, name, value)
-        parsed_points.append(parse(local))
+        parsed = parse(local)
+        # Equilibrium points do not integrate.
+        if "integrator" in parsed:
+            if "max_steps" not in (local.get("integrator") or {}):
+                parsed["integrator"] = dataclasses.replace(
+                    parsed["integrator"], max_steps=share)
+            steps += parsed["integrator"].max_steps
+        parsed_points.append(parsed)
     total = sum(parsed["rows"] for parsed in parsed_points)
     if total > _MAX_ROWS:
         raise ConfigError(f"the sweep's points would write {total} rows; "
                           f"at most {_MAX_ROWS} are allowed")
+    if steps > _MAX_SWEEP_STEPS:
+        raise ConfigError(f"the sweep's integrator.max_steps sum to {steps}; "
+                          f"at most {_MAX_SWEEP_STEPS} are allowed")
 
     # The points run serially, in sweep order, whatever --jobs says.
     blocks, stop_reasons = [], []

@@ -140,7 +140,9 @@ class _BadStep(Exception):
 
 
 def _rms(scaled: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(scaled))))
+    # The pairwise sum, divide and sqrt of np.sqrt(np.mean(...)), without
+    # the dispatch of np.mean.
+    return math.sqrt(float(np.square(scaled).sum()) / scaled.size)
 
 
 def _dense_sample(times: np.ndarray, states: np.ndarray,
@@ -331,7 +333,7 @@ def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
         x = solve(g)
     except np.linalg.LinAlgError as exc:
         raise _BadStep from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise _BadStep
     return x
 
@@ -347,10 +349,10 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
     z = z0.copy()
     prev = math.inf
     for _ in range(12):
-        if np.min(z[:nguard]) <= 0.0:
+        if z[:nguard].min() <= 0.0:
             raise _FloorBreach
         f = rhs(z)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise _BadStep
         g = z - dh * f - target
         dz = _linear_solve(solve, g)
@@ -360,7 +362,7 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
             dn *= 0.5
         z = z - dz
         if dn < 0.03:
-            if np.min(z[:nguard]) <= 0.0:
+            if z[:nguard].min() <= 0.0:
                 raise _FloorBreach
             return z
         prev = dn
@@ -373,15 +375,19 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     """One TR-BDF2 step attempt.  Returns (y1, f1, err, dense_coeffs).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
-    that every Newton iteration and the error filter of the step use.
+    that every Newton iteration and the error filter of the step use; a
+    matrix it cannot factor is a bad step.
     """
     scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
-    solve = newton_solver(y, f0, dh)
+    try:
+        solve = newton_solver(y, f0, dh)
+    except np.linalg.LinAlgError as exc:
+        raise _BadStep from exc
     # Trapezoidal stage to t + gamma h.
     target = y + dh * f0
     z_pred = y + _TB_GAMMA * h * f0
-    if np.min(z_pred[:nguard]) <= 0.0:
+    if z_pred[:nguard].min() <= 0.0:
         z_pred = y.copy()
     z = _newton(rhs, solve, target, z_pred, dh, scale, nguard)
     f_mid = rhs(z)
@@ -390,11 +396,11 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     cy = 0.5 * (math.sqrt(2.0) - 1.0)
     target = cz * z - cy * y
     y_pred = z + (1.0 - _TB_GAMMA) * h * f_mid
-    if np.min(y_pred[:nguard]) <= 0.0:
+    if y_pred[:nguard].min() <= 0.0:
         y_pred = z.copy()
     y1 = _newton(rhs, solve, target, y_pred, dh, scale, nguard)
     f1 = rhs(y1)
-    if not np.all(np.isfinite(f1)):
+    if not np.isfinite(f1).all():
         raise _BadStep
     raw = (h / 3.0) * (_TB_E0 * f0 + f_mid + _TB_E2 * f1)
     # Filter the companion difference so stiff components do not dominate.

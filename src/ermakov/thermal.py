@@ -25,13 +25,16 @@ the single-temperature models.
 On the implicit TR-BDF2 scheme, ``integrate_thermal`` hands the driver
 a Newton solver built on ``acceleration_jacobian``, the analytic
 Jacobian of the field, and reduces each Newton system to one n x n
-solve (a Schur complement on the second-order block structure).  The
-scalar width models keep the driver's finite-difference Jacobian.
+matrix (a Schur complement on the second-order block structure), which
+it factors once per step attempt and reuses for every Newton iteration
+and the error filter.  The scalar width models keep the driver's
+finite-difference Jacobian.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,9 +71,12 @@ class BetaGrid:
         if self.count < 5:
             raise ValueError("need at least 5 grid nodes")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.beta_min + self.delta * np.arange(self.count)
+        """The inverse temperatures, computed once per grid, read-only."""
+        nodes = self.beta_min + self.delta * np.arange(self.count)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def beta_max(self) -> float:
@@ -246,6 +252,35 @@ def _trapezoid_weights(grid: BetaGrid) -> np.ndarray:
     return w
 
 
+def _jacobian_structure(variant: ThermalVariant,
+                        grid: BetaGrid) -> np.ndarray:
+    """The field-independent (n, n) matrix a variant's Jacobian scales."""
+    if variant is ThermalVariant.BETA_DERIVATIVE:
+        return _slope_stencil(grid)
+    if variant is ThermalVariant.INTEGRAL_FORM:
+        return _trapezoid_weights(grid)
+    raise ValueError(f"unknown thermal variant: {variant!r}")
+
+
+def _jacobian(variant: ThermalVariant, sig: np.ndarray, grid: BetaGrid,
+              params: PhysicalParams, structure: np.ndarray) -> np.ndarray:
+    """``acceleration_jacobian`` on the variant's ``_jacobian_structure``."""
+    if variant is ThermalVariant.BETA_DERIVATIVE:
+        slope = beta_derivative(sig, grid)
+        diag = (-params.omega0 ** 2
+                - 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * sig ** 4)
+                + 4.0 * slope / (params.m * sig ** 3))
+        jac = (-2.0 / (params.m * np.square(sig)))[:, None] * structure
+    else:
+        integral = cumulative_quantum_integral(sig, grid, params)
+        coef = 1.0 / (params.m * grid.nodes)
+        diag = -params.omega0 ** 2 + coef * (integral - 1.0 / np.square(sig))
+        g_prime = -params.hbar ** 2 / (params.m * sig ** 5)
+        jac = (coef * sig)[:, None] * structure * g_prime
+    jac[np.diag_indices_from(jac)] += diag
+    return jac
+
+
 def acceleration_jacobian(variant: ThermalVariant, sigma: np.ndarray,
                           grid: BetaGrid,
                           params: PhysicalParams) -> np.ndarray:
@@ -260,24 +295,8 @@ def acceleration_jacobian(variant: ThermalVariant, sigma: np.ndarray,
     field and adds nothing.  The derivative in the width rates is the
     friction rate -b/m on the diagonal for both variants.
     """
-    sig = np.asarray(sigma, dtype=float)
-    if variant is ThermalVariant.BETA_DERIVATIVE:
-        slope = beta_derivative(sig, grid)
-        diag = (-params.omega0 ** 2
-                - 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * sig ** 4)
-                + 4.0 * slope / (params.m * sig ** 3))
-        jac = (-2.0 / (params.m * np.square(sig)))[:, None] \
-            * _slope_stencil(grid)
-    elif variant is ThermalVariant.INTEGRAL_FORM:
-        integral = cumulative_quantum_integral(sig, grid, params)
-        coef = 1.0 / (params.m * grid.nodes)
-        diag = -params.omega0 ** 2 + coef * (integral - 1.0 / np.square(sig))
-        g_prime = -params.hbar ** 2 / (params.m * sig ** 5)
-        jac = (coef * sig)[:, None] * _trapezoid_weights(grid) * g_prime
-    else:
-        raise ValueError(f"unknown thermal variant: {variant!r}")
-    jac[np.diag_indices_from(jac)] += diag
-    return jac
+    return _jacobian(variant, np.asarray(sigma, dtype=float), grid, params,
+                     _jacobian_structure(variant, grid))
 
 
 def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
@@ -286,22 +305,28 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
 
     The Jacobian of the stacked right-hand side is [[0, I], [A, -c I]]
     with A = ``acceleration_jacobian`` and c = b/m, so the Newton system
-    (I - dh J) [x; v] = [g1; g2] reduces to one n x n solve,
+    (I - dh J) [x; v] = [g1; g2] reduces to one n x n system,
     ((1 + dh c) I - dh^2 A) x = (1 + dh c) g1 + dh g2, followed by
     v = (g2 + dh A x) / (1 + dh c).  Called as ``newton_solver(y, f0, dh)``
-    by the adaptive driver.
+    by the adaptive driver once per step attempt, it inverts the n x n
+    matrix there, so each of the attempt's solves is a matrix-vector
+    product.  The Jacobian's field-independent part is built once per
+    run.
     """
     n = grid.count
     c = params.b / params.m
+    structure = _jacobian_structure(variant, grid)
+    diag = np.diag_indices(n)
 
     def newton_solver(y: np.ndarray, f0: np.ndarray, dh: float):
-        a = acceleration_jacobian(variant, y[:n], grid, params)
+        a = _jacobian(variant, y[:n], grid, params, structure)
         damp = 1.0 + dh * c
         mat = -dh * dh * a
-        mat[np.diag_indices(n)] += damp
+        mat[diag] += damp
+        minv = np.linalg.inv(mat)
 
         def solve(g: np.ndarray) -> np.ndarray:
-            x = np.linalg.solve(mat, damp * g[:n] + dh * g[n:])
+            x = minv @ (damp * g[:n] + dh * g[n:])
             return np.concatenate((x, (g[n:] + dh * (a @ x)) / damp))
 
         return solve

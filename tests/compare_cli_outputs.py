@@ -3,8 +3,9 @@
 Runs a fixed config set (simulate for four width models, one of them
 with an SVG chart, and a conservative run stopped by ``max_steps``,
 thermal for the integral form on both schemes, the explicit one with a
-chart, and the slope form on TR-BDF2 and, without params, at zero
-temperature, equilibrium, a simulate sweep at ``--jobs 1`` and
+chart, and the slope form on TR-BDF2 (also as a stiff 71-node hold at
+equilibrium, whose step sizes follow rounding) and, without params, at
+zero temperature, equilibrium, a simulate sweep at ``--jobs 1`` and
 ``--jobs 4``, ``plot`` of the explicit thermal CSV, and ``verify`` of
 six suites) once against each tree, each in a fresh interpreter, and
 compares every CSV, SVG, ``summary.json`` and ``verify_report.json``
@@ -89,6 +90,18 @@ CONFIGS = {
         "t_span": [0.0, 4.0],
         "samples": 41,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+    # A stiff hold at equilibrium: its error estimate is rounding noise,
+    # so any change in rounding re-times its steps and shows here.
+    "thermal-slope-hold": ("thermal", {
+        "variant": "beta-derivative",
+        "params": {"natural": {"friction": 80.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 4.0, "beta_count": 71},
+        "profile": {"kind": "scaled-coth", "factor": 1.0},
+        "t_span": [0.0, 10.0],
+        "samples": 201,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-9,
+                       "abs_tol": 1e-12},
     }),
     # No params: the zero-temperature default, which the grid overrides.
     "thermal-zero-temperature": ("thermal", {

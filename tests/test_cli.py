@@ -433,6 +433,51 @@ def test_sweep_total_rows_bound_exits_1(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
+def test_sweep_step_budget_bounds_explicit_max_steps(tmp_path, capsys,
+                                                     monkeypatch):
+    # 11 points of 100,000 steps each would exceed the 1,000,000-step
+    # sweep budget: rejected before any point runs.
+    def no_run(parsed):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setitem(cli._TASKS, "simulate", (
+        cli._parse_simulate, no_run, cli._TRAJECTORY_HEADER, None))
+    cfg = _write_config(tmp_path, {
+        "task": "simulate", "model": "conservative",
+        "initial": {"sigma": 1.0}, "t_span": [0.0, 1.0], "samples": 5,
+        "integrator": {"max_steps": 100_000},
+        "sweep": {"initial.sigma": [1.0 + i / 10 for i in range(11)]}})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("the sweep's integrator.max_steps sum to 1100000; at most "
+            "1000000" in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+
+def test_sweep_points_share_the_step_budget(tmp_path, monkeypatch):
+    assert cli._MAX_SWEEP_STEPS == 1_000_000
+    monkeypatch.setattr(cli, "_MAX_SWEEP_STEPS", 41)
+    budgets = []
+
+    def run(parsed):
+        budgets.append(parsed["integrator"].max_steps)
+        return cli._run_trajectory(parsed)
+
+    monkeypatch.setitem(cli._TASKS, "simulate", (
+        cli._parse_simulate, run, cli._TRAJECTORY_HEADER, None))
+    cfg = _write_config(tmp_path, {
+        "task": "simulate", "model": "conservative",
+        "initial": {"sigma": 2.56}, "t_span": [0.0, 1e7], "samples": 5,
+        "sweep": {"initial.sigma": [2.0, 2.56]}})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reasons"] == ["max_steps", "max_steps"]
+    assert summary["rows"] == 10
+    assert budgets == [20, 20]
+
+
 def test_thermal_grid_size_bound_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "variant": "integral-form",

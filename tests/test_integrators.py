@@ -229,12 +229,25 @@ def _inf_solver(y, f0, dh):
     return lambda g: np.full_like(g, np.inf)
 
 
+def _unfactorable_solver(y, f0, dh):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _nan_inverse_solver(y, f0, dh):
+    # A NaN Jacobian entry, as an overflowed width gives.  LAPACK either
+    # rejects the matrix or returns a NaN inverse; both are bad steps.
+    minv = np.linalg.inv(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+    return lambda g: minv @ g
+
+
 @pytest.mark.parametrize("newton_solver",
-                         [_singular_solver, _nan_solver, _inf_solver])
+                         [_singular_solver, _nan_solver, _inf_solver,
+                          _unfactorable_solver, _nan_inverse_solver])
 def test_failed_newton_solves_end_in_step_underflow(newton_solver):
-    # A singular or non-finite solve is a bad step: halve, then stop at
-    # the step floor, never raise.  An infinite Newton update must not
-    # pass for a width crossing the floor (SIGMA_GUARD_HIT).
+    # A singular or non-finite solve, or a matrix the solver cannot
+    # factor, is a bad step: halve, then stop at the step floor, never
+    # raise.  An infinite Newton update must not pass for a width
+    # crossing the floor (SIGMA_GUARD_HIT).
     def rhs(y):
         return np.array([y[1], -y[0]])
 

@@ -35,6 +35,26 @@ def test_grid_construction_and_validation():
         BetaGrid.from_nodes([1.5, 1.25, 1.0, 0.75, 0.5])
 
 
+def test_grid_nodes_are_computed_once_and_read_only():
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    fresh = BetaGrid.from_range(0.5, 4.0, 11)
+    nodes = grid.nodes
+    assert grid.nodes is nodes
+    assert np.array_equal(nodes,
+                          grid.beta_min + grid.delta * np.arange(grid.count))
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 1.0
+    # The cached nodes take no part in equality, hashing or the repr.
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert repr(grid) == repr(fresh)
+    assert grid != BetaGrid.from_range(0.5, 4.0, 12)
+    rebuilt = BetaGrid.from_nodes(grid.nodes)
+    assert rebuilt == BetaGrid.from_nodes(
+        fresh.beta_min + fresh.delta * np.arange(fresh.count))
+    assert np.array_equal(rebuilt.nodes, nodes)
+
+
 def test_field_shape_validation_and_at_rest():
     grid = BetaGrid.from_range(0.5, 2.0, 5)
     with pytest.raises(ValueError, match="one entry per grid node"):
@@ -396,6 +416,36 @@ def test_trbdf2_field_rhs_calls_equal_n_rhs(monkeypatch, variant):
     assert reason is StopReason.COMPLETED
     assert traj.n_accepted > 10
     assert calls[0] == traj.n_rhs
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_trbdf2_field_factors_once_per_attempt(monkeypatch, variant):
+    # Every Newton iteration and the error filter of an attempt reuse one
+    # inverse of the attempt's Newton matrix.
+    calls = {"inv": 0, "solve": 0}
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def counted_inv(*args, **kwargs):
+        calls["inv"] += 1
+        return inv(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    params = P.with_(b=10.0)
+    start = ThermalField.at_rest(
+        grid, 1.1 * thermal.equilibrium_profile_coth(grid, params).sigma)
+    traj, reason = thermal.integrate_thermal(
+        variant, start, (0.0, 1.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11))
+    assert reason is StopReason.COMPLETED
+    assert traj.n_accepted > 10
+    assert calls["inv"] == traj.n_accepted + traj.n_rejected
+    assert calls["solve"] == 0
 
 
 def test_slope_form_hold_needs_few_rhs_per_step():
