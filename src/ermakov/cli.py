@@ -509,7 +509,7 @@ def _cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _set_by_path(cfg: dict, path: str, value: float) -> None:
+def _set_by_path(cfg: dict, path: str, value) -> None:
     parts = path.split(".")
     node = cfg
     for part in parts[:-1]:
@@ -528,12 +528,15 @@ def _cmd_sweep(args) -> int:
     if not 1 <= len(sweep_obj) <= 2:
         raise ConfigError("sweep takes one or two swept parameters")
     names = sorted(sweep_obj)
+    # Each grid holds the JSON values, sorted as numbers: a point's config
+    # gets the value itself, so an integer key stays an integer.
     grids = []
     for name in names:
         values = sweep_obj[name]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{name} must be a non-empty list")
-        grids.append(sorted(_number(v, f"sweep.{name}") for v in values))
+        where = f"sweep.{name}"
+        grids.append(sorted(values, key=lambda v: _number(v, where)))
     out_names = _parse_output(cfg.get("output"), "sweep.csv")
     base = {k: v for k, v in cfg.items()
             if k not in ("task", "sweep", "output")}
@@ -570,7 +573,8 @@ def _cmd_sweep(args) -> int:
     for point, parsed in zip(points, parsed_points):
         table, _, reason = run(parsed)
         blocks.append(np.column_stack(
-            (np.tile(point, (table.shape[0], 1)), table)))
+            (np.tile([float(v) for v in point], (table.shape[0], 1)),
+             table)))
         stop_reasons.append(reason.value)
 
     header = tuple(names) + header
@@ -581,7 +585,8 @@ def _cmd_sweep(args) -> int:
     summary = {
         "command": "sweep",
         "task": task,
-        "swept": {name: grid for name, grid in zip(names, grids)},
+        "swept": {name: [float(v) for v in grid]
+                  for name, grid in zip(names, grids)},
         "points": len(points),
         "rows": len(rows),
         "csv": out_names["csv"],

@@ -226,80 +226,101 @@ def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
             c)
 
 
-def _float_stage(rhs, ys: list, nguard: int):
-    """Check a float-kernel stage state, then evaluate ``rhs`` there.
+def _float_stages(rhs, nguard: int, nfev: list):
+    """The stage evaluator of the float kernel: check, count, call ``rhs``.
 
-    The checks are those of ``_dp54_attempt``.  The models raise
+    Each call checks a stage state as ``_dp54_attempt`` does, adds one to
+    ``nfev[0]`` and evaluates ``rhs`` there.  The models raise
     OverflowError or ZeroDivisionError on Python floats where numpy
-    scalars give inf or NaN, so a call that raises is repeated on numpy
-    scalars: the step then fails, or goes on, as it does on arrays.  A
-    call that raises there too is a bad step.
+    scalars give inf or NaN, so a call that raises is repeated, and
+    counted again, on numpy scalars: the step then fails, or goes on, as
+    it does on arrays.  A call that raises there too is a bad step.
     """
-    for v in ys:
-        if not math.isfinite(v):
-            raise _BadStep
-    if min(ys[:nguard]) <= 0.0:
-        raise _FloorBreach
-    try:
-        return rhs(ys)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    try:
-        return [float(v) for v in rhs(np.array(ys))]
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _BadStep from exc
+    isfinite = math.isfinite
+
+    def stage(ys: list):
+        for v in ys:
+            if not isfinite(v):
+                raise _BadStep
+        for v in ys[:nguard]:
+            if v <= 0.0:
+                raise _FloorBreach
+        nfev[0] += 1
+        try:
+            return rhs(ys)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        nfev[0] += 1
+        try:
+            return [float(v) for v in rhs(np.array(ys))]
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _BadStep from exc
+    return stage
 
 
-def _dp54_floats(rhs, y: list, f0, h: float, nguard: int, abs_tol: float,
+def _dp54_floats(stage, y: list, f0, h: float, abs_tol: float,
                  rel_tol: float):
     """One explicit step attempt on a state of a few Python floats.
 
     The arithmetic of ``_dp54_attempt`` with every stage sum written out
     term by term in tableau order, so results differ from it by ulps
-    (numpy's small matmul sums in its own order).  ``rhs`` takes a list
-    of floats and returns a sequence of floats.  Returns (y1, f1, err,
-    dense_coeffs) like ``_dp54_attempt``, as lists and tuples.
+    (numpy's small matmul sums in its own order).  ``stage`` comes from
+    ``_float_stages``; it takes a list of floats and returns a sequence
+    of floats.  Returns (y1, f1, err, stages): ``err`` is the scaled
+    error norm and ``stages`` the flat tuple k1, k3, k4, k5, k6, k7 of
+    6 dim floats that ``_dp54_dense`` turns into the step's interpolant.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
     b1, _, b3, b4, b5, b6 = _DP_B
     e1, _, e3, e4, e5, e6, e7 = _DP_E
-    # Column 0 of the interpolant is k1 alone, and row 2 is zero.
-    (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
-        (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = _DP_P
     k1 = f0
-    k2 = _float_stage(rhs, [a + h * (a21 * p)
-                            for a, p in zip(y, k1)], nguard)
-    k3 = _float_stage(rhs, [a + h * (a31 * p + a32 * q)
-                            for a, p, q in zip(y, k1, k2)], nguard)
-    k4 = _float_stage(rhs, [a + h * (a41 * p + a42 * q + a43 * r)
-                            for a, p, q, r in zip(y, k1, k2, k3)], nguard)
-    k5 = _float_stage(rhs, [a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                            for a, p, q, r, s in zip(y, k1, k2, k3, k4)],
-                      nguard)
-    k6 = _float_stage(rhs, [a + h * (a61 * p + a62 * q + a63 * r + a64 * s
-                                     + a65 * u)
-                            for a, p, q, r, s, u
-                            in zip(y, k1, k2, k3, k4, k5)], nguard)
+    k2 = stage([a + h * (a21 * p) for a, p in zip(y, k1)])
+    k3 = stage([a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)])
+    k4 = stage([a + h * (a41 * p + a42 * q + a43 * r)
+                for a, p, q, r in zip(y, k1, k2, k3)])
+    k5 = stage([a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = stage([a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
     y1 = [a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
           for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-    k7 = _float_stage(rhs, y1, nguard)
+    k7 = stage(y1)
     total = 0.0
-    rows = []
     for a, b, p, r, s, u, v, w in zip(y, y1, k1, k3, k4, k5, k6, k7):
         if not math.isfinite(w):
             raise _BadStep
+        a, b = abs(a), abs(b)
         e = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) \
-            / (abs_tol + rel_tol * max(abs(a), abs(b)))
+            / (abs_tol + rel_tol * (b if b > a else a))
         total += e * e
-        rows.append((h * p,
-                     h * (p21 * p + p23 * r + p24 * s + p25 * u + p26 * v
-                          + p27 * w),
-                     h * (p31 * p + p33 * r + p34 * s + p35 * u + p36 * v
-                          + p37 * w),
-                     h * (p41 * p + p43 * r + p44 * s + p45 * u + p46 * v
-                          + p47 * w)))
-    return y1, k7, math.sqrt(total / len(y)), (y, *zip(*rows))
+    return y1, k7, math.sqrt(total / len(y)), (*k1, *k3, *k4, *k5, *k6, *k7)
+
+
+def _dp54_dense(y: np.ndarray, h: np.ndarray, stages: list) -> np.ndarray:
+    """Interpolant coefficients of accepted float-kernel steps.
+
+    ``y`` holds the steps' start states, ``h`` their sizes and
+    ``stages`` the stage tuples ``_dp54_floats`` returned.  Returns the
+    (steps, 5, dim) coefficients of ``_dp54_attempt``, each summed
+    elementwise in the float kernel's term order.
+    """
+    # Column 0 of the interpolant is k1 alone, and row 2 is zero.
+    (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
+        (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = _DP_P
+    k = np.array(stages, dtype=float).reshape(-1, 6, y.shape[1])
+    k1, k3, k4, k5, k6, k7 = k.transpose(1, 0, 2)
+    h = h[:, None]
+    # Python floats overflow to inf silently; numpy would warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack((
+            y, h * k1,
+            h * (p21 * k1 + p23 * k3 + p24 * k4 + p25 * k5 + p26 * k6
+                 + p27 * k7),
+            h * (p31 * k1 + p33 * k3 + p34 * k4 + p35 * k5 + p36 * k6
+                 + p37 * k7),
+            h * (p41 * k1 + p43 * k3 + p44 * k4 + p45 * k5 + p46 * k6
+                 + p47 * k7)), axis=1)
 
 
 def _fd_jacobian(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
@@ -528,9 +549,12 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
         fac = 0.9 * err ** (-0.14) * err_prev ** 0.08
     else:
         fac = 0.9 * err ** (-exponent)
-    fac = min(10.0, max(0.2, fac))
-    if just_rejected:
-        fac = min(fac, 1.0)
+    if fac > 10.0:
+        fac = 10.0
+    elif fac < 0.2:
+        fac = 0.2
+    if just_rejected and fac > 1.0:
+        fac = 1.0
     return True, fac
 
 
@@ -544,21 +568,22 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     of floats.  Explicit runs of dim <= 3 step on Python floats
     (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
     call gets a numpy array, as do the first derivative and the
-    first-step heuristic of every run.  ``newton_solver(y, f0, dh)``
-    serves the implicit scheme: it returns a function that solves
-    (I - dh J(y)) x = g, J the Jacobian of ``rhs``.  Without one, TR-BDF2
-    forms I - dh J from a finite-difference Jacobian at every attempt.
+    first-step heuristic of every run.  A float run keeps the stage
+    derivatives of its accepted steps only and builds their dense
+    coefficients once, at the end (``_dp54_dense``).
+    ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns
+    a function that solves (I - dh J(y)) x = g, J the Jacobian of
+    ``rhs``.  Without one, TR-BDF2 forms I - dh J from a
+    finite-difference Jacobian at every attempt.
     Returns (fields, reason): ``fields`` maps the trajectory field names
     (node arrays, dense coefficients and counters) to their values.
     """
     t0, t_end = t_span
     explicit = config.scheme is Scheme.DOPRI54
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
+    h_min, h_max = config.h_min, config.h_max
+    sigma_min_guard, max_steps = config.sigma_min_guard, config.max_steps
     nfev = [0]
-
-    def counted(y):
-        nfev[0] += 1
-        return rhs(y)
 
     def counted_array(y: np.ndarray) -> np.ndarray:
         nfev[0] += 1
@@ -574,17 +599,23 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         h = _initial_step(counted_array, y0, f0, t_end - t0,
                           5 if explicit else 2, config, nguard)
 
-    if explicit and y0.size <= 3:
+    floats = explicit and y0.size <= 3
+    if floats:
         y, f0 = y0.tolist(), f0.tolist()
         lowest = min
-        attempt = partial(_dp54_floats, counted)
+        stage = _float_stages(rhs, nguard, nfev)
+
+        def attempt(y, f0, h):
+            return _dp54_floats(stage, y, f0, h, abs_tol, rel_tol)
     else:
         y = y0.copy()
         lowest = np.min
         if explicit:
-            attempt = partial(_dp54_attempt, counted_array)
+            attempt = partial(_dp54_attempt, counted_array, nguard=nguard,
+                              abs_tol=abs_tol, rel_tol=rel_tol)
         else:
-            attempt = partial(_trbdf2_attempt, counted_array,
+            attempt = partial(_trbdf2_attempt, counted_array, nguard=nguard,
+                              abs_tol=abs_tol, rel_tol=rel_tol,
                               newton_solver=newton_solver
                               or _dense_solver(counted_array))
 
@@ -592,6 +623,7 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     states = [y]
     hs = [0.0]
     errs = [0.0]
+    # Per accepted step: its stage tuple on floats, else its coefficients.
     dense = []
     monitor: list = []
     if runaway_scale is not None:
@@ -619,20 +651,23 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
 
         failure = StopReason.STEP_UNDERFLOW
         try:
-            y1, f1, err, coeffs = attempt(y, f0, h_att, nguard, abs_tol,
-                                          rel_tol)
+            y1, f1, err, step_dense = attempt(y, f0, h_att)
         except _FloorBreach:
             failure, err = StopReason.SIGMA_GUARD_HIT, None
         except _BadStep:
             err = None
         else:
-            if err <= 1.0 and lowest(y1[:nguard]) <= config.sigma_min_guard:
+            if err <= 1.0 and lowest(y1[:nguard]) <= sigma_min_guard:
                 failure, err = StopReason.SIGMA_GUARD_HIT, None
         accept, fac = _control(err, err_prev, explicit, just_rejected)
-        h = min(max(h_att * fac, config.h_min), config.h_max)
+        h = h_att * fac
+        if h < h_min:
+            h = h_min
+        if h > h_max:
+            h = h_max
 
         if not accept:
-            if h_att <= config.h_min * (1.0 + 1e-12):
+            if h_att <= h_min * (1.0 + 1e-12):
                 reason = failure
                 break
             n_reject += 1
@@ -647,10 +682,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         states.append(y)
         hs.append(h_att)
         errs.append(err)
-        dense.append(coeffs)
+        dense.append(step_dense)
         n_accept += 1
         just_rejected = False
-        err_prev = max(err, 1e-10)
+        err_prev = err if err > 1e-10 else 1e-10
 
         if runaway_scale is not None:
             a_abs = abs(float(y[2]))
@@ -666,17 +701,22 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
                     reason = StopReason.RUNAWAY_DETECTED
                     break
 
-        if n_accept >= config.max_steps and t < t_end:
+        if n_accept >= max_steps and t < t_end:
             reason = StopReason.MAX_STEPS
             break
 
+    states = np.array(states)
+    hs = np.array(hs)
+    if floats:
+        dense = _dp54_dense(states[:-1], hs[1:], dense)
+    else:
+        dense = np.array(dense).reshape(-1, 5, y0.size)
     fields = {
         "times": np.array(times),
-        "states": np.array(states),
-        "step_sizes": np.array(hs),
+        "states": states,
+        "step_sizes": hs,
         "error_estimates": np.array(errs),
-        "dense_coefficients": (np.array(dense) if dense
-                               else np.zeros((0, 5, y0.size))),
+        "dense_coefficients": dense,
         "n_accepted": n_accept,
         "n_rejected": n_reject,
         "n_rhs": nfev[0],

@@ -112,7 +112,11 @@ def _finite_span(values: np.ndarray) -> Tuple[float, float]:
     lo = float(np.min(values[mask]))
     hi = float(np.max(values[mask]))
     if hi == lo:
-        pad = 0.5 if lo == 0.0 else 0.05 * abs(lo)
+        # A band around a constant; a zero or subnormal one, which 5%
+        # cannot widen, gets a unit band.
+        pad = 0.05 * abs(lo)
+        if lo - pad == hi + pad:
+            pad = 0.5
         return lo - pad, hi + pad
     return lo, hi
 

@@ -277,7 +277,7 @@ def _jacobian(variant: ThermalVariant, sig: np.ndarray, grid: BetaGrid,
         diag = -params.omega0 ** 2 + coef * (integral - 1.0 / np.square(sig))
         g_prime = -params.hbar ** 2 / (params.m * sig ** 5)
         jac = (coef * sig)[:, None] * structure * g_prime
-    jac[np.diag_indices_from(jac)] += diag
+    jac.flat[::sig.size + 1] += diag
     return jac
 
 
@@ -316,13 +316,12 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
     n = grid.count
     c = params.b / params.m
     structure = _jacobian_structure(variant, grid)
-    diag = np.diag_indices(n)
 
     def newton_solver(y: np.ndarray, f0: np.ndarray, dh: float):
         a = _jacobian(variant, y[:n], grid, params, structure)
         damp = 1.0 + dh * c
         mat = -dh * dh * a
-        mat[diag] += damp
+        mat.flat[::n + 1] += damp
         minv = np.linalg.inv(mat)
 
         def solve(g: np.ndarray) -> np.ndarray:

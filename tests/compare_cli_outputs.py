@@ -1,23 +1,23 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for four width models, one of them
-with an SVG chart, and a conservative run stopped by ``max_steps``,
-thermal for the integral form on both schemes, the explicit one with a
-chart, and the slope form on TR-BDF2 (also as a stiff 71-node hold at
-equilibrium, whose step sizes follow rounding) and, without params, at
-zero temperature, equilibrium, a simulate sweep at ``--jobs 1`` and
-``--jobs 4``, ``plot`` of the explicit thermal CSV, and ``verify`` of
-six suites) once against each tree, each in a fresh interpreter, and
-compares every CSV, SVG, ``summary.json`` and ``verify_report.json``
-byte for byte.  For a CSV that differs it prints how many data rows
-differ and the largest absolute and relative cell difference, for an
-SVG how many lines differ.  For every ``summary.json`` that has run counters (accepted and
-rejected steps, rhs evaluations, stop reasons) it prints whether they
-match, and, for one that differs, each other key whose value differs
-with its old and new value.
-For a ``verify_report.json`` it prints each check whose entry differs
-with the keys that differ, old and new value (``absent`` for a missing
-key).
+with an SVG chart, a conservative run stopped by ``max_steps`` and a
+tight conservative run of about 12,500 steps over [0, 20 pi] sampled
+20,001 times, thermal for the integral form on both schemes, the
+explicit one with a chart, and the slope form on TR-BDF2 (also as a
+stiff 71-node hold at equilibrium, whose step sizes follow rounding)
+and, without params, at zero temperature, equilibrium, a simulate sweep
+at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the explicit thermal CSV,
+and ``verify`` of six suites) once against each tree, each in a fresh
+interpreter, and compares every CSV, SVG, ``summary.json`` and
+``verify_report.json`` byte for byte. For a CSV that differs it prints
+how many data rows differ and the largest absolute and relative cell
+difference, for an SVG how many lines differ. For every ``summary.json``
+that has run counters (accepted and rejected steps, rhs evaluations,
+stop reasons) it prints whether they match, and, for one that differs,
+each other key whose value differs with its old and new value. For a
+``verify_report.json`` it prints each check whose entry differs with the
+keys that differ, old and new value (``absent`` for a missing key).
 
 Usage::
 
@@ -29,6 +29,7 @@ every file matches and 1 otherwise, naming each file that differs.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,14 @@ CONFIGS = {
         "t_span": [0.0, 100.0],
         "samples": 51,
         "integrator": {"max_steps": 50},
+    }),
+    # About 12,500 tight steps, every one's dense rows sampled.
+    "conservative-long-tight": ("simulate", {
+        "model": "conservative",
+        "initial": {"sigma": 1.3, "sigma_dot": 0.4},
+        "t_span": [0.0, 20.0 * math.pi],
+        "samples": 20001,
+        "integrator": {"rel_tol": 1e-12, "abs_tol": 1e-15},
     }),
     "equilibrium": ("equilibrium", {
         "params": {"beta": 2.0, "omega0": 1.5, "m": 0.8},

@@ -478,6 +478,67 @@ def test_sweep_points_share_the_step_budget(tmp_path, monkeypatch):
     assert budgets == [20, 20]
 
 
+def _sweep_config(tmp_path, sweep):
+    return _write_config(tmp_path, {
+        "task": "simulate", "model": "conservative",
+        "initial": {"sigma": 1.3}, "t_span": [0.0, 5.0], "samples": 4,
+        "sweep": sweep})
+
+
+def test_sweep_over_samples_keeps_integers(tmp_path):
+    cfg = _sweep_config(tmp_path, {"samples": [5, 3]})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    header, data = output.read_csv(tmp_path / "sweep.csv")
+    assert header[0] == "samples"
+    assert list(data[:, 0]) == [3.0] * 3 + [5.0] * 5
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["rows"] == 8
+    # The summary keeps its swept values floats, as for a float grid.
+    assert summary["swept"] == {"samples": [3.0, 5.0]}
+    assert all(type(v) is float for v in summary["swept"]["samples"])
+
+
+def test_sweep_over_max_steps_counts_toward_the_budget(tmp_path, capsys,
+                                                       monkeypatch):
+    budgets = []
+
+    def run(parsed):
+        budgets.append(parsed["integrator"].max_steps)
+        return cli._run_trajectory(parsed)
+
+    monkeypatch.setitem(cli._TASKS, "simulate", (
+        cli._parse_simulate, run, cli._TRAJECTORY_HEADER, None))
+    cfg = _sweep_config(tmp_path, {"integrator.max_steps": [20, 10]})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 2
+    assert budgets == [10, 20]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reasons"] == ["max_steps", "max_steps"]
+    assert summary["swept"] == {"integrator.max_steps": [10.0, 20.0]}
+    assert all(type(v) is float
+               for v in summary["swept"]["integrator.max_steps"])
+
+    monkeypatch.setattr(cli, "_MAX_SWEEP_STEPS", 29)
+    (tmp_path / "summary.json").unlink()
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("the sweep's integrator.max_steps sum to 30; at most 29"
+            in capsys.readouterr().err)
+    assert budgets == [10, 20]
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_sweep_value_beyond_float_range_exits_1(tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, {"samples": [3, 10**400]})
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("config error: sweep.samples must be a finite number"
+            in capsys.readouterr().err)
+
+
 def test_thermal_grid_size_bound_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "variant": "integral-form",

@@ -6,6 +6,11 @@ differ only in the order of their stage sums.  Each sum has at most 7
 terms, and each kernel's rounding error is at most about 7 eps times the
 sum of the absolute terms; the tolerance is therefore fixed at
 ``14 eps sum|terms|`` per entry before measuring.
+
+The float kernel returns its stage derivatives, and the driver builds
+the dense coefficients of a run's accepted steps once, at its end.
+Those must equal, bitwise, the rows the kernel formed per step with
+Python floats before.
 """
 
 import math
@@ -29,6 +34,17 @@ def _replay(stages):
     return lambda y: next(calls)
 
 
+def _float_attempt(y, f0, stages, h):
+    """The float kernel's step with its dense coefficients built, as
+    (y1, f1, err, dense_coeffs) like ``_dp54_attempt``."""
+    stage = integrators._float_stages(_replay([tuple(k) for k in stages]),
+                                      1, [0])
+    y1, f1, err, ks = integrators._dp54_floats(stage, list(y), list(f0), h,
+                                               _ABS_TOL, _REL_TOL)
+    c = integrators._dp54_dense(np.array([y]), np.array([h]), [ks])
+    return y1, f1, err, c[0]
+
+
 def _attempts(y, f0, stages, h):
     """Both kernels on one input: (reference, float) outcomes.
 
@@ -36,14 +52,13 @@ def _attempts(y, f0, stages, h):
     raised.
     """
     outcomes = []
-    for kernel, state, first, rows in (
-            (integrators._dp54_attempt, np.array(y), np.array(f0),
-             [np.array(k) for k in stages]),
-            (integrators._dp54_floats, list(y), list(f0),
-             [tuple(k) for k in stages])):
+    for attempt in (
+            lambda: integrators._dp54_attempt(
+                _replay([np.array(k) for k in stages]), np.array(y),
+                np.array(f0), h, 1, _ABS_TOL, _REL_TOL),
+            lambda: _float_attempt(y, f0, stages, h)):
         try:
-            outcomes.append(kernel(_replay(rows), state, first, h, 1,
-                                   _ABS_TOL, _REL_TOL))
+            outcomes.append(attempt())
         except (integrators._FloorBreach, integrators._BadStep) as exc:
             outcomes.append(type(exc))
     return outcomes
@@ -151,3 +166,68 @@ def test_huge_width_completes_as_on_numpy_scalars(monkeypatch):
     assert reason is StopReason.COMPLETED
     assert traj.sigma[-1] == pytest.approx(1e150 * math.cos(1.0), rel=1e-8)
     assert traj.n_rhs == calls[0]
+
+
+def _reference_rows(y, h, ks):
+    """One step's (5, dim) interpolant rows, summed with Python floats
+    in the order the float kernel used when it formed them per step."""
+    dim = len(y)
+    k1, k3, k4, k5, k6, k7 = (ks[i * dim:(i + 1) * dim] for i in range(6))
+    (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
+        (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = \
+        integrators._DP_P
+    rows = [(h * p,
+             h * (p21 * p + p23 * r + p24 * s + p25 * u + p26 * v + p27 * w),
+             h * (p31 * p + p33 * r + p34 * s + p35 * u + p36 * v + p37 * w),
+             h * (p41 * p + p43 * r + p44 * s + p45 * u + p46 * v + p47 * w))
+            for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)]
+    return (list(y), *zip(*rows))
+
+
+_RUNS = {
+    "overdamped": (1, lambda: integrators.integrate_overdamped(
+        ModelVariant.OVERDAMPED_DISSIPATIVE, 0.3, (0.0, 3.0),
+        PhysicalParams(b=10.0))),
+    "conservative": (2, lambda: integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(1.3, 0.4), (0.0, 12.0),
+        PhysicalParams(), IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15))),
+    "rejections": (2, lambda: integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(0.2, 3.0), (0.0, 10.0),
+        PhysicalParams(), IntegratorConfig(rel_tol=1e-4, abs_tol=1e-6))),
+    "radiative": (3, lambda: integrators.integrate(
+        ModelVariant.RADIATIVE_NAIVE, State(1.0, 0.1), (0.0, 2.0),
+        PhysicalParams(r=0.01))),
+    "huge-width": (2, lambda: integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(1e150, 0.0), (0.0, 1.0),
+        PhysicalParams())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_dense_build_equals_the_per_step_rows(monkeypatch, name):
+    dim, run = _RUNS[name]
+    kernel = integrators._dp54_floats
+    stages = {}
+
+    def recording(stage, y, f0, h, abs_tol, rel_tol):
+        out = kernel(stage, y, f0, h, abs_tol, rel_tol)
+        stages[tuple(y), h] = out[3]
+        return out
+
+    monkeypatch.setattr(integrators, "_dp54_floats", recording)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        # The huge width overflows on Python floats; its numpy-scalar
+        # retries warn.
+        warnings.simplefilter("ignore")
+        traj, _ = run()
+    if name == "rejections":
+        assert traj.n_rejected > 0
+    assert traj.dense_coefficients.shape == (traj.n_accepted, 5, dim)
+    reference = []
+    for i in range(traj.n_accepted):
+        y = tuple(traj.states[i, :dim].tolist())
+        h = float(traj.step_sizes[i + 1])
+        reference.append(_reference_rows(y, h, stages[y, h]))
+    reference = np.array(reference)
+    assert reference.shape == traj.dense_coefficients.shape
+    assert reference.tobytes() == traj.dense_coefficients.tobytes()

@@ -202,6 +202,8 @@ _CHARTS = {
                         [("none", np.full(4, np.nan))]),
     "constant": (np.linspace(-1.0, 1.0, 50), [("c", np.full(50, 2.5))]),
     "zero": (np.linspace(-1.0, 1.0, 5), [("z", np.zeros(5))]),
+    # 5% of a subnormal constant rounds to 0: a zero-width span.
+    "subnormal": (np.full(3, 5e-324), [("s", np.full(3, -5e-324))]),
     "singletons": (np.arange(7.0),
                    [("s", np.array([1.0, np.nan, 3, np.nan, 5, np.nan,
                                     7]))]),
