@@ -16,6 +16,7 @@ the self-accelerating growth mode, reporting every early exit through
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -234,7 +235,9 @@ def _float_stages(rhs, nguard: int, nfev: list):
     OverflowError or ZeroDivisionError on Python floats where numpy
     scalars give inf or NaN, so a call that raises is repeated, and
     counted again, on numpy scalars: the step then fails, or goes on, as
-    it does on arrays.  A call that raises there too is a bad step.
+    it does on arrays.  A call that raises there too is a bad step.  The
+    retry runs with numpy's warnings off, as the stage checks of the
+    next stage or of the step test what it returns.
     """
     isfinite = math.isfinite
 
@@ -252,7 +255,8 @@ def _float_stages(rhs, nguard: int, nfev: list):
             pass
         nfev[0] += 1
         try:
-            return [float(v) for v in rhs(np.array(ys))]
+            with np.errstate(all="ignore"):
+                return [float(v) for v in rhs(np.array(ys))]
         except (OverflowError, ZeroDivisionError) as exc:
             raise _BadStep from exc
     return stage
@@ -568,9 +572,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     of floats.  Explicit runs of dim <= 3 step on Python floats
     (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
     call gets a numpy array, as do the first derivative and the
-    first-step heuristic of every run.  A float run keeps the stage
-    derivatives of its accepted steps only and builds their dense
-    coefficients once, at the end (``_dp54_dense``).
+    first-step heuristic of every run.  Those two run with numpy's
+    warnings off; what they return is tested for finite values.  A float
+    run keeps the stage derivatives of its accepted steps only and
+    builds their dense coefficients once, at the end (``_dp54_dense``).
     ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns
     a function that solves (I - dh J(y)) x = g, J the Jacobian of
     ``rhs``.  Without one, TR-BDF2 forms I - dh J from a
@@ -589,15 +594,16 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         nfev[0] += 1
         return np.asarray(rhs(y), dtype=float)
 
-    f0 = counted_array(y0)
-    if not np.all(np.isfinite(f0)):
-        raise ValueError("right-hand side is not finite at the initial state")
-
-    if config.h_init is not None:
-        h = min(config.h_init, t_end - t0)
-    else:
-        h = _initial_step(counted_array, y0, f0, t_end - t0,
-                          5 if explicit else 2, config, nguard)
+    with np.errstate(all="ignore"):
+        f0 = counted_array(y0)
+        if not np.all(np.isfinite(f0)):
+            raise ValueError("right-hand side is not finite at the initial "
+                             "state")
+        if config.h_init is not None:
+            h = min(config.h_init, t_end - t0)
+        else:
+            h = _initial_step(counted_array, y0, f0, t_end - t0,
+                              5 if explicit else 2, config, nguard)
 
     floats = explicit and y0.size <= 3
     if floats:
@@ -725,12 +731,28 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
 
 
 def _check_span(t_span) -> tuple:
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    try:
+        t0, t1 = t_span
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"t_span must be a pair of numbers, got "
+                         f"{t_span!r}") from exc
+    t0, t1 = _real_row((t0, t1), "t_span").tolist()
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite")
     if t1 <= t0:
         raise ValueError("t_span must satisfy t_end > t_start")
     return t0, t1
+
+
+def _real_row(values: tuple, name: str) -> np.ndarray:
+    """``values`` as a float array, or a ValueError naming the input."""
+    try:
+        if all(isinstance(v, numbers.Real) for v in values):
+            return np.array(values, dtype=float)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must hold real numbers within the float "
+                     f"range, got {values!r}")
 
 
 def integrate(variant: ModelVariant, initial, t_span,
@@ -750,22 +772,25 @@ def integrate(variant: ModelVariant, initial, t_span,
                          "integrate_overdamped")
     t0, t1 = _check_span(t_span)
 
+    if not isinstance(initial, State):
+        raise ValueError(f"initial must be a State, got {initial!r}")
     third_order = variant is ModelVariant.RADIATIVE_NAIVE
     if third_order:
         if params.r <= 0.0:
             raise ValueError("the third-order variant requires r > 0")
         if isinstance(initial, State3):
-            y0 = np.array([initial.sigma, initial.sigma_dot,
-                           initial.sigma_ddot])
+            y0 = _real_row((initial.sigma, initial.sigma_dot,
+                            initial.sigma_ddot), "initial")
         else:
-            y0 = np.array([initial.sigma, initial.sigma_dot, 0.0])
+            y0 = _real_row((initial.sigma, initial.sigma_dot, 0.0),
+                           "initial")
             y0[2] = models.conservative_acceleration(y0[0], params)
     else:
         if isinstance(initial, State3):
             raise ValueError("second-order variants take a two-component "
                              "state; the extra acceleration entry has no "
                              "meaning here")
-        y0 = np.array([initial.sigma, initial.sigma_dot])
+        y0 = _real_row((initial.sigma, initial.sigma_dot), "initial")
     if variant is ModelVariant.HIGH_TEMPERATURE and params.is_zero_temperature:
         raise ValueError("the high-temperature variant needs finite beta")
     if y0[0] <= config.sigma_min_guard:
@@ -780,10 +805,13 @@ def integrate(variant: ModelVariant, initial, t_span,
             "will crawl through the transient, consider Scheme.TRBDF2",
             RuntimeWarning, stacklevel=2)
 
+    # The model is looked up once per run and takes the stage row as it
+    # is: a list of floats, or a numpy array on the array paths.
     if third_order:
+        jerk = models.radiative_jerk
+
         def rhs(y) -> tuple:
-            st = State3(sigma=y[0], sigma_dot=y[1], sigma_ddot=y[2])
-            return y[1], y[2], models.radiative_jerk(st, params)
+            return y[1], y[2], jerk(y, params)
 
         # numpy scalars: an overflow gives inf instead of raising
         sigma0, accel0 = y0[0], y0[2]
@@ -793,9 +821,10 @@ def integrate(variant: ModelVariant, initial, t_span,
         runaway_scale = float(max(abs(accel0), base_scale))
         runaway_window = params.r / params.m
     else:
+        accel = models.acceleration
+
         def rhs(y) -> tuple:
-            st = State(sigma=y[0], sigma_dot=y[1])
-            return y[1], models.acceleration(variant, st, params)
+            return y[1], accel(variant, y, params)
 
         runaway_scale = None
         runaway_window = None
@@ -824,13 +853,13 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
             and params.is_zero_temperature):
         raise ValueError("the overdamped thermal variant needs finite beta")
     t0, t1 = _check_span(t_span)
-    if not sigma0 > config.sigma_min_guard:
+    y0 = _real_row((sigma0,), "sigma0")
+    if not y0[0] > config.sigma_min_guard:
         raise ValueError("initial width must exceed sigma_min_guard")
 
     def rhs(y) -> tuple:
         return models.overdamped_velocity(y[0], params, variant),
 
-    y0 = np.array([float(sigma0)])
     fields, reason = _drive(rhs, y0, (t0, t1), config)
     # numpy scalars: an overflow gives inf instead of raising
     sigmas = fields["states"][:, 0]

@@ -13,6 +13,11 @@ model variant:
 
 The overdamped companions drop the inertial term and evolve sigma directly:
 b s' = -m w0^2 s + [k_B T / s] + hbar^2 / (4 m s^3).
+
+The functions that read a whole state take a ``State`` (``State3`` for the
+jerk) or the plain row (sigma, sigma_dot[, sigma_ddot]) as a list, a tuple
+or a numpy array; the integrators pass rows, so no state object is built
+per evaluation.
 """
 
 from enum import Enum, unique
@@ -43,6 +48,16 @@ OVERDAMPED_VARIANTS = (
 )
 
 
+def _row(state):
+    """The (sigma, sigma_dot[, sigma_ddot]) values of a State, a State3 or
+    a row, which comes back as it is."""
+    if isinstance(state, State3):
+        return state.sigma, state.sigma_dot, state.sigma_ddot
+    if isinstance(state, State):
+        return state.sigma, state.sigma_dot
+    return state
+
+
 def quantum_pressure_acceleration(sigma: float, params: PhysicalParams) -> float:
     """Repulsive width acceleration hbar^2 / (4 m^2 sigma^3)."""
     return params.hbar ** 2 / (4.0 * params.m ** 2 * sigma ** 3)
@@ -53,10 +68,10 @@ def conservative_acceleration(sigma: float, params: PhysicalParams) -> float:
     return -params.omega0 ** 2 * sigma + quantum_pressure_acceleration(sigma, params)
 
 
-def damped_acceleration(state: State, params: PhysicalParams) -> float:
+def damped_acceleration(state, params: PhysicalParams) -> float:
     """Conservative acceleration plus linear friction -(b/m) sigma_dot."""
-    return conservative_acceleration(state.sigma, params) \
-        - (params.b / params.m) * state.sigma_dot
+    s, sd = _row(state)
+    return conservative_acceleration(s, params) - (params.b / params.m) * sd
 
 
 def thermal_pressure_acceleration(sigma: float, params: PhysicalParams) -> float:
@@ -69,13 +84,14 @@ def thermal_pressure_acceleration(sigma: float, params: PhysicalParams) -> float
     return 1.0 / (params.beta * params.m * sigma)
 
 
-def high_temperature_acceleration(state: State, params: PhysicalParams) -> float:
+def high_temperature_acceleration(state, params: PhysicalParams) -> float:
     """Damped acceleration plus the classical thermal push 1/(beta m sigma)."""
-    return damped_acceleration(state, params) \
-        + thermal_pressure_acceleration(state.sigma, params)
+    row = _row(state)
+    return damped_acceleration(row, params) \
+        + thermal_pressure_acceleration(row[0], params)
 
 
-def radiative_jerk(state: State3, params: PhysicalParams) -> float:
+def radiative_jerk(state, params: PhysicalParams) -> float:
     """Third derivative of sigma from the naive radiative model.
 
     Solving m s'' - r s''' + m w0^2 s = hbar^2/(4 m s^3) for s''' gives
@@ -84,25 +100,26 @@ def radiative_jerk(state: State3, params: PhysicalParams) -> float:
     """
     if params.r <= 0.0:
         raise ValueError("the naive radiative model requires r > 0")
+    s, _, sdd = _row(state)
     m = params.m
-    force_defect = m * state.sigma_ddot + m * params.omega0 ** 2 * state.sigma \
-        - params.hbar ** 2 / (4.0 * m * state.sigma ** 3)
+    force_defect = m * sdd + m * params.omega0 ** 2 * s \
+        - params.hbar ** 2 / (4.0 * m * s ** 3)
     return force_defect / params.r
 
 
-def radiative_reduced_acceleration(state: State, params: PhysicalParams) -> float:
+def radiative_reduced_acceleration(state, params: PhysicalParams) -> float:
     """Order-reduced radiative model.
 
     Substituting the conservative acceleration into the radiation term turns
     it into a width-dependent friction:
     sigma_ddot = conservative - (r/m) (w0^2 + 3 hbar^2/(4 m^2 sigma^4)) sigma_dot.
     """
-    s = state.sigma
+    s, sd = _row(state)
     effective_friction = (params.r / params.m) * (
         params.omega0 ** 2
         + 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * s ** 4)
     )
-    return conservative_acceleration(s, params) - effective_friction * state.sigma_dot
+    return conservative_acceleration(s, params) - effective_friction * sd
 
 
 def overdamped_velocity(sigma: float, params: PhysicalParams,
@@ -118,10 +135,10 @@ def overdamped_velocity(sigma: float, params: PhysicalParams,
     return params.m * force_per_mass / params.b
 
 
-def acceleration(variant: ModelVariant, state: State, params: PhysicalParams) -> float:
+def acceleration(variant: ModelVariant, state, params: PhysicalParams) -> float:
     """Dispatch sigma_ddot for the second-order variants."""
     if variant is ModelVariant.CONSERVATIVE:
-        return conservative_acceleration(state.sigma, params)
+        return conservative_acceleration(_row(state)[0], params)
     if variant is ModelVariant.DISSIPATIVE:
         return damped_acceleration(state, params)
     if variant is ModelVariant.HIGH_TEMPERATURE:

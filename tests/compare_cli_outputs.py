@@ -1,7 +1,7 @@
 """Check that two source trees write byte-identical CLI output files.
 
-Runs a fixed config set (simulate for four width models, one of them
-with an SVG chart, a conservative run stopped by ``max_steps`` and a
+Runs a fixed config set (simulate for all seven width models, one of
+them with an SVG chart, a conservative run stopped by ``max_steps`` and a
 tight conservative run of about 12,500 steps over [0, 20 pi] sampled
 20,001 times, thermal for the integral form on both schemes, the
 explicit one with a chart, and the slope form on TR-BDF2 (also as a
@@ -55,6 +55,27 @@ CONFIGS = {
         "model": "overdamped-dissipative",
         "params": {"b": 10.0},
         "initial": {"sigma": 0.3},
+        "t_span": [0.0, 3.0],
+        "samples": 157,
+    }),
+    "high-temperature": ("simulate", {
+        "model": "high-temperature",
+        "params": {"natural": {"friction": 0.4, "temperature": 0.5}},
+        "initial": {"sigma": 1.1, "sigma_dot": -0.2},
+        "t_span": [0.0, 10.0],
+        "samples": 201,
+    }),
+    "radiative-reduced": ("simulate", {
+        "model": "radiative-reduced",
+        "params": {"natural": {"radiation": 0.05}},
+        "initial": {"sigma": 0.8, "sigma_dot": 0.3},
+        "t_span": [0.0, 10.0],
+        "samples": 201,
+    }),
+    "overdamped-high-temperature": ("simulate", {
+        "model": "overdamped-high-temperature",
+        "params": {"b": 5.0, "beta": 2.0},
+        "initial": {"sigma": 0.5},
         "t_span": [0.0, 3.0],
         "samples": 157,
     }),

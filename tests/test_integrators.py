@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from ermakov import analytic, core, integrators
+from ermakov import analytic, core, integrators, models, thermal
 from ermakov.core import PhysicalParams, State, State3
 from ermakov.integrators import IntegratorConfig, Scheme, StopReason
 from ermakov.models import ModelVariant
+from ermakov.thermal import BetaGrid, ThermalField, ThermalVariant
 
 
 def _pinney_errors(rel_tol, t_end=10.0):
@@ -316,6 +317,71 @@ def test_routing_and_initial_state_validation():
     with pytest.raises(ValueError, match="sigma_min_guard"):
         integrators.integrate(ModelVariant.CONSERVATIVE,
                               State(1e-13, 0.0), (0.0, 1.0), params, None)
+
+
+@pytest.mark.parametrize("t_span", [None, (0.0,), (0.0, "1"), 1.0,
+                                    (0, 10 ** 400)])
+def test_malformed_t_span_is_a_value_error(t_span):
+    field = ThermalField.at_rest(BetaGrid.from_range(0.5, 2.0, 6), 1.0)
+    runs = (
+        lambda: integrators.integrate(ModelVariant.CONSERVATIVE,
+                                      State(1.0, 0.0), t_span,
+                                      PhysicalParams()),
+        lambda: integrators.integrate_overdamped(
+            ModelVariant.OVERDAMPED_DISSIPATIVE, 1.0, t_span,
+            PhysicalParams(b=1.0)),
+        lambda: thermal.integrate_thermal(ThermalVariant.INTEGRAL_FORM,
+                                          field, t_span, PhysicalParams()),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="t_span"):
+            run()
+
+
+def test_non_numeric_initial_state_is_a_value_error():
+    params = PhysicalParams(b=1.0, r=0.01)
+    span = (0.0, 1.0)
+    with pytest.raises(ValueError, match="initial"):
+        integrators.integrate(ModelVariant.CONSERVATIVE, State("1", 0.0),
+                              span, params)
+    with pytest.raises(ValueError, match="initial"):
+        integrators.integrate(ModelVariant.RADIATIVE_NAIVE,
+                              State3(1.0, 0.0, None), span, params)
+    with pytest.raises(ValueError, match="initial"):
+        integrators.integrate(ModelVariant.CONSERVATIVE, (1.0, 0.0), span,
+                              params)
+    with pytest.raises(ValueError, match="sigma0"):
+        integrators.integrate_overdamped(
+            ModelVariant.OVERDAMPED_DISSIPATIVE, "1", span, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_start_raises_without_a_warning():
+    # sigma^3 underflows to 0, so the quantum pressure at the start is
+    # not finite; the run refuses it before any warning.
+    with pytest.raises(ValueError, match="not finite"):
+        integrators.integrate(ModelVariant.CONSERVATIVE,
+                              State(1e-300, 0.0), (0.0, 1.0),
+                              PhysicalParams(),
+                              IntegratorConfig(sigma_min_guard=1e-310))
+
+
+@pytest.mark.parametrize("variant, name", [
+    (ModelVariant.DISSIPATIVE, "acceleration"),
+    (ModelVariant.RADIATIVE_NAIVE, "radiative_jerk")])
+def test_models_get_the_stage_row_not_a_state(monkeypatch, variant, name):
+    real = getattr(models, name)
+    kinds = []
+
+    def spy(*args):
+        kinds.append(type(args[-2]))
+        return real(*args)
+
+    monkeypatch.setattr(models, name, spy)
+    traj, _ = integrators.integrate(variant, State(1.3, 0.4), (0.0, 2.0),
+                                    PhysicalParams(b=0.3, r=0.01))
+    assert len(kinds) == traj.n_rhs
+    assert not any(issubclass(kind, State) for kind in kinds)
 
 
 def test_config_validation():

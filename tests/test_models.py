@@ -117,6 +117,20 @@ def test_acceleration_dispatch():
         models.acceleration(ModelVariant.RADIATIVE_NAIVE, st, P)
     with pytest.raises(ValueError, match="first order"):
         models.acceleration(ModelVariant.OVERDAMPED_DISSIPATIVE, st, P)
+    # A plain row gives the State's value bit for bit, as the integrators
+    # pass rows: a list on Python floats, an array on the numpy paths.
+    for variant in models.SECOND_ORDER_VARIANTS:
+        want = models.acceleration(variant, st, P)
+        for row in ([0.7, 0.2], (0.7, 0.2), np.array([0.7, 0.2])):
+            assert models.acceleration(variant, row, P) == want
+    for fn in (models.damped_acceleration,
+               models.high_temperature_acceleration,
+               models.radiative_reduced_acceleration):
+        assert fn([0.7, 0.2], P) == fn(np.array([0.7, 0.2]), P) \
+            == fn(st, P)
+    want = models.radiative_jerk(State3(0.7, 0.2, -0.1), P)
+    for row in ([0.7, 0.2, -0.1], np.array([0.7, 0.2, -0.1])):
+        assert models.radiative_jerk(row, P) == want
 
 
 @pytest.mark.parametrize("variant", models.SECOND_ORDER_VARIANTS)
