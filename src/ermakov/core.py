@@ -146,7 +146,7 @@ def energy(state, params: PhysicalParams):
     rate b*sigma_dot^2 along the damped one.  ``state`` is a State, which
     must have sigma > 0, or an array of states whose last axis starts
     (sigma, sigma_dot); an array gives one energy per state and its widths
-    are not checked.
+    are not checked.  Beyond the float range the energy is inf.
     """
     if isinstance(state, State):
         s, sd = state.sigma, state.sigma_dot
@@ -156,8 +156,13 @@ def energy(state, params: PhysicalParams):
         rows = np.asarray(state, dtype=float)
         s, sd = rows[..., 0], rows[..., 1]
     m, w0, hbar = params.m, params.omega0, params.hbar
-    return 0.5 * m * sd ** 2 + 0.5 * m * w0 ** 2 * s ** 2 \
-        + hbar ** 2 / (8.0 * m * s ** 2)
+    try:
+        with np.errstate(all="ignore"):
+            return 0.5 * m * sd ** 2 + 0.5 * m * w0 ** 2 * s ** 2 \
+                + hbar ** 2 / (8.0 * m * s ** 2)
+    except (OverflowError, ZeroDivisionError):
+        # A State's Python floats raise where numpy scalars give inf.
+        return float(energy(np.array((s, sd)), params))
 
 
 def radiation_coefficient(charge: float,

@@ -121,7 +121,6 @@ _DP_P = (
 _DP_A_ROWS = tuple(np.array(row) for row in _DP_A)
 _DP_B_ROW = np.array(_DP_B)
 _DP_E_ROW = np.array(_DP_E)
-_DP_P_MATRIX = np.array(_DP_P)
 
 # TR-BDF2 constants: trapezoidal stage to gamma, BDF2 stage to 1.
 _TB_GAMMA = 2.0 - math.sqrt(2.0)
@@ -174,19 +173,6 @@ def _dense_sample(times: np.ndarray, states: np.ndarray,
     return out, between
 
 
-def _hermite_coeffs(y0: np.ndarray, f0: np.ndarray, y1: np.ndarray,
-                    f1: np.ndarray, h: float) -> np.ndarray:
-    """Cubic Hermite coefficients in the step-local variable x = (t-t0)/h."""
-    dim = y0.size
-    c = np.zeros((5, dim))
-    dy = y1 - y0
-    c[0] = y0
-    c[1] = h * f0
-    c[2] = 3.0 * dy - h * (2.0 * f0 + f1)
-    c[3] = -2.0 * dy + h * (f0 + f1)
-    return c
-
-
 def _scaled_norm(err_vec: np.ndarray, y: np.ndarray, y1: np.ndarray,
                  abs_tol: float, rel_tol: float) -> float:
     """RMS of a local error estimate over its tolerance scale."""
@@ -197,12 +183,9 @@ def _scaled_norm(err_vec: np.ndarray, y: np.ndarray, y1: np.ndarray,
 def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                   f0: np.ndarray, h: float, nguard: int, abs_tol: float,
                   rel_tol: float):
-    """One explicit step attempt on arrays.
-
-    Returns (y1, f1, err, dense_coeffs), ``err`` the scaled error norm.
-    """
-    dim = y.size
-    k = np.empty((7, dim))
+    """One explicit step attempt on arrays.  Returns (y1, f1, err,
+    stages) as ``_dp54_floats`` does, the stages as (6, dim) rows."""
+    k = np.empty((7, y.size))
     k[0] = f0
     for i, a_row in enumerate(_DP_A_ROWS, start=1):
         y_stage = y + h * (a_row @ k[:i])
@@ -220,11 +203,8 @@ def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     if not np.all(np.isfinite(k)):
         raise _BadStep
     err_vec = h * (_DP_E_ROW @ k)
-    c = np.zeros((5, dim))
-    c[0] = y
-    c[1:] = h * (k.T @ _DP_P_MATRIX).T
     return (y1, k[6].copy(), _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
-            c)
+            k[[0, 2, 3, 4, 5, 6]])
 
 
 def _float_stages(rhs, nguard: int, nfev: list):
@@ -301,30 +281,42 @@ def _dp54_floats(stage, y: list, f0, h: float, abs_tol: float,
     return y1, k7, math.sqrt(total / len(y)), (*k1, *k3, *k4, *k5, *k6, *k7)
 
 
-def _dp54_dense(y: np.ndarray, h: np.ndarray, stages: list) -> np.ndarray:
-    """Interpolant coefficients of accepted float-kernel steps.
+def _dp54_dense(states: np.ndarray, h: np.ndarray, steps: list):
+    """Interpolant coefficients of a run's accepted DP54 steps.
 
-    ``y`` holds the steps' start states, ``h`` their sizes and
-    ``stages`` the stage tuples ``_dp54_floats`` returned.  Returns the
-    (steps, 5, dim) coefficients of ``_dp54_attempt``, each summed
-    elementwise in the float kernel's term order.
+    ``states`` holds the run's nodes, ``h`` its step sizes and ``steps``
+    the stages each step's kernel returned.  Returns the (steps, 5, dim)
+    coefficients, each summed elementwise in the float kernel's order.
     """
     # Column 0 of the interpolant is k1 alone, and row 2 is zero.
     (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
         (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = _DP_P
-    k = np.array(stages, dtype=float).reshape(-1, 6, y.shape[1])
+    k = np.array(steps, dtype=float).reshape(-1, 6, states.shape[1])
     k1, k3, k4, k5, k6, k7 = k.transpose(1, 0, 2)
     h = h[:, None]
     # Python floats overflow to inf silently; numpy would warn.
     with np.errstate(over="ignore", invalid="ignore"):
         return np.stack((
-            y, h * k1,
+            states[:-1], h * k1,
             h * (p21 * k1 + p23 * k3 + p24 * k4 + p25 * k5 + p26 * k6
                  + p27 * k7),
             h * (p31 * k1 + p33 * k3 + p34 * k4 + p35 * k5 + p36 * k6
                  + p37 * k7),
             h * (p41 * k1 + p43 * k3 + p44 * k4 + p45 * k5 + p46 * k6
                  + p47 * k7)), axis=1)
+
+
+def _hermite_dense(states: np.ndarray, h: np.ndarray, steps: list):
+    """Cubic Hermite coefficients of a run's accepted TR-BDF2 steps, as
+    ``_dp54_dense``; ``steps`` holds the derivatives (f0, f1) at their
+    ends."""
+    y0 = states[:-1]
+    f0, f1 = np.array(steps, dtype=float).reshape(
+        -1, 2, y0.shape[1]).transpose(1, 0, 2)
+    h = h[:, None]
+    dy = states[1:] - y0
+    return np.stack((y0, h * f0, 3.0 * dy - h * (2.0 * f0 + f1),
+                     -2.0 * dy + h * (f0 + f1), np.zeros_like(y0)), axis=1)
 
 
 def _fd_jacobian(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
@@ -397,7 +389,7 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                     f0: np.ndarray, h: float, nguard: int, abs_tol: float,
                     rel_tol: float, newton_solver):
-    """One TR-BDF2 step attempt.  Returns (y1, f1, err, dense_coeffs).
+    """One TR-BDF2 step attempt.  Returns (y1, f1, err, (f0, f1)).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
     that every Newton iteration and the error filter of the step use; a
@@ -431,7 +423,7 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     # Filter the companion difference so stiff components do not dominate.
     err_vec = _linear_solve(solve, raw)
     return (y1, f1, _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
-            _hermite_coeffs(y, f0, y1, f1, h))
+            (f0, f1))
 
 
 def _initial_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
@@ -573,9 +565,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
     call gets a numpy array, as do the first derivative and the
     first-step heuristic of every run.  Those two run with numpy's
-    warnings off; what they return is tested for finite values.  A float
-    run keeps the stage derivatives of its accepted steps only and
-    builds their dense coefficients once, at the end (``_dp54_dense``).
+    warnings off; what they return is tested for finite values.  A run
+    keeps what its accepted steps return for their interpolants and
+    builds all their coefficients once, at its end, with its scheme's
+    ``_dp54_dense`` or ``_hermite_dense``.
     ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns
     a function that solves (I - dh J(y)) x = g, J the Jacobian of
     ``rhs``.  Without one, TR-BDF2 forms I - dh J from a
@@ -629,7 +622,7 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     states = [y]
     hs = [0.0]
     errs = [0.0]
-    # Per accepted step: its stage tuple on floats, else its coefficients.
+    # Per accepted step: what its attempt returned for its interpolant.
     dense = []
     monitor: list = []
     if runaway_scale is not None:
@@ -713,16 +706,13 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
 
     states = np.array(states)
     hs = np.array(hs)
-    if floats:
-        dense = _dp54_dense(states[:-1], hs[1:], dense)
-    else:
-        dense = np.array(dense).reshape(-1, 5, y0.size)
+    build = _dp54_dense if explicit else _hermite_dense
     fields = {
         "times": np.array(times),
         "states": states,
         "step_sizes": hs,
         "error_estimates": np.array(errs),
-        "dense_coefficients": dense,
+        "dense_coefficients": build(states, hs[1:], dense),
         "n_accepted": n_accept,
         "n_rejected": n_reject,
         "n_rhs": nfev[0],

@@ -437,7 +437,7 @@ def stationary_profile(variant: ThermalVariant, grid: BetaGrid,
     damping until transients die out, so the result reflects the chosen
     variant's discretisation rather than the closed form.  Requires
     omega0 > 0.  Damping is borrowed at the critical value when the
-    parameter set has none.
+    parameter set has none.  A run that stops early is a ValueError.
     """
     if params.omega0 <= 0.0:
         raise ValueError("relaxation requires omega0 > 0")
@@ -453,5 +453,5 @@ def stationary_profile(variant: ThermalVariant, grid: BetaGrid,
     traj, reason = integrate_thermal(variant, start, (0.0, t_relax),
                                      relax_params, config)
     if reason is not StopReason.COMPLETED:
-        raise RuntimeError(f"relaxation stopped early: {reason.value}")
+        raise ValueError(f"relaxation stopped early: {reason.value}")
     return traj.sigma[-1].copy()

@@ -1,23 +1,25 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for all seven width models, one of
-them with an SVG chart, a conservative run stopped by ``max_steps`` and a
-tight conservative run of about 12,500 steps over [0, 20 pi] sampled
-20,001 times, thermal for the integral form on both schemes, the
-explicit one with a chart, and the slope form on TR-BDF2 (also as a
-stiff 71-node hold at equilibrium, whose step sizes follow rounding)
-and, without params, at zero temperature, equilibrium, a simulate sweep
-at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the explicit thermal CSV,
-and ``verify`` of six suites) once against each tree, each in a fresh
-interpreter, and compares every CSV, SVG, ``summary.json`` and
-``verify_report.json`` byte for byte. For a CSV that differs it prints
-how many data rows differ and the largest absolute and relative cell
-difference, for an SVG how many lines differ. For every ``summary.json``
-that has run counters (accepted and rejected steps, rhs evaluations,
-stop reasons) it prints whether they match, and, for one that differs,
-each other key whose value differs with its old and new value. For a
-``verify_report.json`` it prints each check whose entry differs with the
-keys that differ, old and new value (``absent`` for a missing key).
+them with an SVG chart, the dissipative model at friction 20 and the
+overdamped dissipative model on TR-BDF2, a conservative run stopped by
+``max_steps`` and a tight conservative run of about 12,500 steps over
+[0, 20 pi] sampled 20,001 times, thermal for the integral form on both
+schemes, the explicit one with a chart, and the slope form on TR-BDF2
+(also as a stiff 71-node hold at equilibrium, whose step sizes follow
+rounding) and, without params, at zero temperature, equilibrium, a
+simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
+explicit thermal CSV, and ``verify`` of six suites) once against each
+tree, each in a fresh interpreter, and compares every CSV, SVG,
+``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
+that differs it prints how many data rows differ and the largest
+absolute and relative cell difference, for an SVG how many lines differ.
+For every ``summary.json`` that has run counters (accepted and rejected
+steps, rhs evaluations, stop reasons) it prints whether they match, and,
+for one that differs, each other key whose value differs with its old
+and new value. For a ``verify_report.json`` it prints each check whose
+entry differs with the keys that differ, old and new value (``absent``
+for a missing key).
 
 Usage::
 
@@ -85,6 +87,24 @@ CONFIGS = {
         "initial": {"sigma": 1.0, "sigma_dot": 0.1},
         "t_span": [0.0, 2.0],
         "samples": 101,
+    }),
+    # The width models on TR-BDF2: strong friction, and the first-order
+    # model.
+    "dissipative-implicit": ("simulate", {
+        "model": "dissipative",
+        "params": {"natural": {"friction": 20.0}},
+        "initial": {"sigma": 1.3, "sigma_dot": 0.4},
+        "t_span": [0.0, 3.0],
+        "samples": 151,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-7},
+    }),
+    "overdamped-implicit": ("simulate", {
+        "model": "overdamped-dissipative",
+        "params": {"b": 10.0},
+        "initial": {"sigma": 0.3},
+        "t_span": [0.0, 3.0],
+        "samples": 157,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-7},
     }),
     "thermal-integral-explicit": ("thermal", {
         "variant": "integral-form",

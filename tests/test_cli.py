@@ -243,6 +243,24 @@ def test_simulate_overflowing_initial_rate_exits_2(tmp_path):
     assert lines[1:] == ["0,1,1e+308,inf"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_energy_beyond_float_range_is_inf(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "model": "dissipative",
+        "params": {"natural": {"friction": 0.5}},
+        "initial": {"sigma": 1.0, "sigma_dot": 1e300},
+        "t_span": [0.0, 1.0],
+        "samples": 5,
+    })
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    _, data = output.read_csv(tmp_path / "trajectory.csv")
+    assert data.shape == (5, 4)
+    assert np.all(np.isfinite(data[:, :3]))
+    assert np.all(data[:, 3] == math.inf)
+
+
 def test_span_below_float_spacing_exits_2_with_a_summary(tmp_path):
     # At t = 2**52 floats are 1 apart, far coarser than the first step:
     # the driver used to accept a million steps that left t unchanged,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ermakov import core
@@ -108,6 +109,19 @@ def test_energy_functional():
     assert core.energy(st, p) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(ValueError):
         core.energy(State(0.0, 1.0), p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma, sigma_dot", [(1.0, 1e300), (1e-300, 0.0),
+                                              (1e200, 0.0)])
+def test_energy_beyond_float_range_is_inf_without_a_warning(sigma,
+                                                            sigma_dot):
+    p = PhysicalParams()
+    # Python floats raise OverflowError or ZeroDivisionError here.
+    assert core.energy(State(sigma, sigma_dot), p) == math.inf
+    got = core.energy(np.array([[sigma, sigma_dot], [0.8, -0.3]]), p)
+    assert got[0] == math.inf
+    assert got[1] == core.energy(State(0.8, -0.3), p)
 
 
 def test_energy_minimised_at_ground_state():

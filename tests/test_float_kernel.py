@@ -7,10 +7,12 @@ terms, and each kernel's rounding error is at most about 7 eps times the
 sum of the absolute terms; the tolerance is therefore fixed at
 ``14 eps sum|terms|`` per entry before measuring.
 
-The float kernel returns its stage derivatives, and the driver builds
+Both kernels return their stage derivatives, and the driver builds
 the dense coefficients of a run's accepted steps once, at its end.
-Those must equal, bitwise, the rows the kernel formed per step with
-Python floats before.
+On floats those must equal, bitwise, the rows the kernel formed per
+step with Python floats before; on arrays they must lie within the same
+``14 eps sum|terms|`` of the rows numpy's matrix product ``k^T P``
+formed per attempt before.
 """
 
 import math
@@ -36,13 +38,20 @@ def _replay(stages):
 
 def _float_attempt(y, f0, stages, h):
     """The float kernel's step with its dense coefficients built, as
-    (y1, f1, err, dense_coeffs) like ``_dp54_attempt``."""
+    (y1, f1, err, dense_coeffs)."""
     stage = integrators._float_stages(_replay([tuple(k) for k in stages]),
                                       1, [0])
     y1, f1, err, ks = integrators._dp54_floats(stage, list(y), list(f0), h,
                                                _ABS_TOL, _REL_TOL)
-    c = integrators._dp54_dense(np.array([y]), np.array([h]), [ks])
+    c = integrators._dp54_dense(np.array([y, y1]), np.array([h]), [ks])
     return y1, f1, err, c[0]
+
+
+def _matmul_rows(y, h, k):
+    """One step's (5, dim) interpolant rows from its (7, dim) stages by
+    numpy's matrix product, as the array kernel formed them per attempt
+    before its stages went to ``_dp54_dense``."""
+    return np.vstack((y, h * (k.T @ np.array(integrators._DP_P)).T))
 
 
 def _attempts(y, f0, stages, h):
@@ -100,7 +109,10 @@ def test_float_kernel_matches_the_array_kernel(dim):
             assert got is ref
             continue
         assert not isinstance(got, type), got
-        y1_ref, f1_ref, err_ref, c_ref = ref
+        y1_ref, f1_ref, err_ref, stages_ref = ref
+        assert np.array_equal(stages_ref, k[[0, 2, 3, 4, 5, 6]])
+        with np.errstate(all="ignore"):
+            c_ref = _matmul_rows(y, h, k)
         y1, f1, err, c = got
         b, e, p = (np.array(integrators._DP_B + (0.0,)),
                    np.array(integrators._DP_E), np.array(integrators._DP_P))

@@ -475,3 +475,12 @@ def test_stationary_profile_relaxes_residual():
     with pytest.raises(ValueError, match="omega0"):
         thermal.stationary_profile(ThermalVariant.INTEGRAL_FORM, grid,
                                    P.with_(omega0=0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_stationary_profile_stopped_early_is_a_value_error(variant):
+    with pytest.raises(ValueError,
+                       match="relaxation stopped early: sigma_guard_hit"):
+        thermal.stationary_profile(variant, BetaGrid(0.5, 0.25, 7),
+                                   PhysicalParams(b=1e150))
