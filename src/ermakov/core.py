@@ -139,6 +139,7 @@ def ground_state_sigma(params: PhysicalParams) -> float:
     return math.sqrt(params.hbar / (2.0 * params.m * params.omega0))
 
 
+@np.errstate(all="ignore")
 def energy(state, params: PhysicalParams):
     """First integral m*sd^2/2 + m*w0^2*s^2/2 + hbar^2/(8 m s^2).
 
@@ -146,23 +147,31 @@ def energy(state, params: PhysicalParams):
     rate b*sigma_dot^2 along the damped one.  ``state`` is a State, which
     must have sigma > 0, or an array of states whose last axis starts
     (sigma, sigma_dot); an array gives one energy per state and its widths
-    are not checked.  Beyond the float range the energy is inf.
+    are not checked.  Beyond the float range, ints included, it is inf.
     """
     if isinstance(state, State):
         s, sd = state.sigma, state.sigma_dot
         if not s > 0.0:
             raise ValueError(f"energy requires sigma > 0, got {s!r}")
     else:
-        rows = np.asarray(state, dtype=float)
+        try:
+            rows = np.asarray(state, dtype=float)
+        except OverflowError:
+            rows = np.asarray(state, dtype=object)  # an int beyond floats
+            rows = np.where(abs(rows) >= 2 ** 1024, np.where(
+                rows > 0, math.inf, -math.inf), rows).astype(float)
         s, sd = rows[..., 0], rows[..., 1]
-    m, w0, hbar = params.m, params.omega0, params.hbar
+    m, hbar = params.m, params.hbar
+    # A trap coefficient of 0 or inf is the trap term at any s, so that
+    # 0 * inf never makes it NaN.
+    trap = 0.5 * m * params.omega0 ** 2
     try:
-        with np.errstate(all="ignore"):
-            return 0.5 * m * sd ** 2 + 0.5 * m * w0 ** 2 * s ** 2 \
-                + hbar ** 2 / (8.0 * m * s ** 2)
+        return 0.5 * m * sd ** 2 \
+            + (trap * s ** 2 if 0.0 < trap < math.inf else trap) \
+            + hbar ** 2 / (8.0 * m * s ** 2)
     except (OverflowError, ZeroDivisionError):
-        # A State's Python floats raise where numpy scalars give inf.
-        return float(energy(np.array((s, sd)), params))
+        # A State's Python numbers raise where numpy scalars give inf.
+        return float(energy([s, sd], params))
 
 
 def radiation_coefficient(charge: float,

@@ -125,7 +125,6 @@ _DP_E_ROW = np.array(_DP_E)
 # TR-BDF2 constants: trapezoidal stage to gamma, BDF2 stage to 1.
 _TB_GAMMA = 2.0 - math.sqrt(2.0)
 _TB_D = _TB_GAMMA / 2.0
-_TB_W = math.sqrt(2.0) / 4.0
 # Weights of (third-order companion) - (second-order solution), over h/3.
 _TB_E0 = 1.0 - math.sqrt(2.0)
 _TB_E2 = -(2.0 - math.sqrt(2.0))
@@ -215,9 +214,7 @@ def _float_stages(rhs, nguard: int, nfev: list):
     OverflowError or ZeroDivisionError on Python floats where numpy
     scalars give inf or NaN, so a call that raises is repeated, and
     counted again, on numpy scalars: the step then fails, or goes on, as
-    it does on arrays.  A call that raises there too is a bad step.  The
-    retry runs with numpy's warnings off, as the stage checks of the
-    next stage or of the step test what it returns.
+    it does on arrays.  A call that raises there too is a bad step.
     """
     isfinite = math.isfinite
 
@@ -235,8 +232,7 @@ def _float_stages(rhs, nguard: int, nfev: list):
             pass
         nfev[0] += 1
         try:
-            with np.errstate(all="ignore"):
-                return [float(v) for v in rhs(np.array(ys))]
+            return [float(v) for v in rhs(np.array(ys))]
         except (OverflowError, ZeroDivisionError) as exc:
             raise _BadStep from exc
     return stage
@@ -294,16 +290,14 @@ def _dp54_dense(states: np.ndarray, h: np.ndarray, steps: list):
     k = np.array(steps, dtype=float).reshape(-1, 6, states.shape[1])
     k1, k3, k4, k5, k6, k7 = k.transpose(1, 0, 2)
     h = h[:, None]
-    # Python floats overflow to inf silently; numpy would warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack((
-            states[:-1], h * k1,
-            h * (p21 * k1 + p23 * k3 + p24 * k4 + p25 * k5 + p26 * k6
-                 + p27 * k7),
-            h * (p31 * k1 + p33 * k3 + p34 * k4 + p35 * k5 + p36 * k6
-                 + p37 * k7),
-            h * (p41 * k1 + p43 * k3 + p44 * k4 + p45 * k5 + p46 * k6
-                 + p47 * k7)), axis=1)
+    return np.stack((
+        states[:-1], h * k1,
+        h * (p21 * k1 + p23 * k3 + p24 * k4 + p25 * k5 + p26 * k6
+             + p27 * k7),
+        h * (p31 * k1 + p33 * k3 + p34 * k4 + p35 * k5 + p36 * k6
+             + p37 * k7),
+        h * (p41 * k1 + p43 * k3 + p44 * k4 + p45 * k5 + p46 * k6
+             + p47 * k7)), axis=1)
 
 
 def _hermite_dense(states: np.ndarray, h: np.ndarray, steps: list):
@@ -462,9 +456,9 @@ class Trajectory:
 
     ``states`` has one row per node; columns are width, width rate and,
     for third-order runs, width acceleration.  ``step_sizes[i]`` is the
-    step that produced node i, exactly ``times[i] - times[i - 1]`` (zero
-    for the first node), and
-    ``error_estimates[i]`` the scaled local error accepted there.
+    step that produced node i, ``times[i] - times[i - 1]`` by
+    construction (zero for the first node), and ``error_estimates[i]``
+    the scaled local error accepted there.
     ``sample`` evaluates the interpolant anywhere inside the covered
     interval; times equal to a node return the node values exactly.
     """
@@ -476,10 +470,14 @@ class Trajectory:
     step_sizes: np.ndarray
     error_estimates: np.ndarray
     dense_coefficients: np.ndarray = field(repr=False)
-    first_order: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
+
+    @property
+    def first_order(self) -> bool:
+        """Whether the run's state is the width alone (overdamped)."""
+        return self.variant in OVERDAMPED_VARIANTS
 
     @property
     def sigma(self) -> np.ndarray:
@@ -494,8 +492,10 @@ class Trajectory:
         """Oscillator energy functional at each node."""
         return core.energy(self.states, self.params)
 
+    @np.errstate(all="ignore")
     def sample(self, times) -> np.ndarray:
-        """Interpolated states at the requested times, one row each."""
+        """Interpolated states at the requested times, one row each;
+        first-order rates come from the model, inf where it overflows."""
         out, between = _dense_sample(self.times, self.states,
                                      self.dense_coefficients, times)
         if self.first_order:
@@ -554,6 +554,7 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
     return True, fac
 
 
+@np.errstate(all="ignore")
 def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
            runaway_scale: Optional[float] = None,
            runaway_window: Optional[float] = None, nguard: int = 1,
@@ -564,8 +565,8 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     of floats.  Explicit runs of dim <= 3 step on Python floats
     (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
     call gets a numpy array, as do the first derivative and the
-    first-step heuristic of every run.  Those two run with numpy's
-    warnings off; what they return is tested for finite values.  A run
+    first-step heuristic of every run.  It runs with numpy's warnings
+    off, as it tests every value it goes on with for finite values.  A run
     keeps what its accepted steps return for their interpolants and
     builds all their coefficients once, at its end, with its scheme's
     ``_dp54_dense`` or ``_hermite_dense``.
@@ -587,16 +588,15 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         nfev[0] += 1
         return np.asarray(rhs(y), dtype=float)
 
-    with np.errstate(all="ignore"):
-        f0 = counted_array(y0)
-        if not np.all(np.isfinite(f0)):
-            raise ValueError("right-hand side is not finite at the initial "
-                             "state")
-        if config.h_init is not None:
-            h = min(config.h_init, t_end - t0)
-        else:
-            h = _initial_step(counted_array, y0, f0, t_end - t0,
-                              5 if explicit else 2, config, nguard)
+    f0 = counted_array(y0)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError("right-hand side is not finite at the initial "
+                         "state")
+    if config.h_init is not None:
+        h = min(config.h_init, t_end - t0)
+    else:
+        h = _initial_step(counted_array, y0, f0, t_end - t0,
+                          5 if explicit else 2, config, nguard)
 
     floats = explicit and y0.size <= 3
     if floats:
@@ -620,7 +620,6 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
 
     times = [t0]
     states = [y]
-    hs = [0.0]
     errs = [0.0]
     # Per accepted step: what its attempt returned for its interpolant.
     dense = []
@@ -679,7 +678,6 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         f0 = f1
         times.append(t)
         states.append(y)
-        hs.append(h_att)
         errs.append(err)
         dense.append(step_dense)
         n_accept += 1
@@ -704,15 +702,16 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             reason = StopReason.MAX_STEPS
             break
 
+    times = np.array(times)
     states = np.array(states)
-    hs = np.array(hs)
+    spacing = np.diff(times)
     build = _dp54_dense if explicit else _hermite_dense
     fields = {
-        "times": np.array(times),
+        "times": times,
         "states": states,
-        "step_sizes": hs,
+        "step_sizes": np.concatenate(([0.0], spacing)),
         "error_estimates": np.array(errs),
-        "dense_coefficients": build(states, hs[1:], dense),
+        "dense_coefficients": build(states, spacing, dense),
         "n_accepted": n_accept,
         "n_rejected": n_reject,
         "n_rhs": nfev[0],
@@ -745,6 +744,7 @@ def _real_row(values: tuple, name: str) -> np.ndarray:
                      f"range, got {values!r}")
 
 
+@np.errstate(all="ignore")
 def integrate(variant: ModelVariant, initial, t_span,
               params: PhysicalParams,
               config: Optional[IntegratorConfig] = None):
@@ -824,6 +824,7 @@ def integrate(variant: ModelVariant, initial, t_span,
     return Trajectory(variant=variant, params=params, **fields), reason
 
 
+@np.errstate(all="ignore")
 def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
                          params: PhysicalParams,
                          config: Optional[IntegratorConfig] = None):
@@ -856,5 +857,4 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
     vel = np.array([models.overdamped_velocity(s, params, variant)
                     for s in sigmas])
     fields["states"] = np.column_stack([sigmas, vel])
-    return Trajectory(variant=variant, params=params, first_order=True,
-                      **fields), reason
+    return Trajectory(variant=variant, params=params, **fields), reason

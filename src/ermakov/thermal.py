@@ -27,8 +27,9 @@ a Newton solver built on ``acceleration_jacobian``, the analytic
 Jacobian of the field, and reduces each Newton system to one n x n
 matrix (a Schur complement on the second-order block structure), which
 it factors once per step attempt and reuses for every Newton iteration
-and the error filter.  The scalar width models keep the driver's
-finite-difference Jacobian.
+and the error filter.  Its coupling across the grid is the rhs operator
+applied to the unit vectors, so it is written once.  The scalar width
+models keep the driver's finite-difference Jacobian.
 """
 
 import math
@@ -40,8 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .core import PhysicalParams
-from .integrators import (IntegratorConfig, StopReason, _check_span,
-                          _dense_sample, _drive)
+from .integrators import (IntegratorConfig, Scheme, StopReason,
+                          _check_span, _dense_sample, _drive)
 
 
 class ThermalVariant(Enum):
@@ -197,9 +198,13 @@ def cumulative_quantum_integral(sigma: np.ndarray, grid: BetaGrid,
     """
     g = params.hbar ** 2 / (4.0 * params.m * np.asarray(sigma,
                                                         dtype=float) ** 4)
-    inner = np.concatenate(([0.0],
-                            np.cumsum(0.5 * (g[1:] + g[:-1]) * grid.delta)))
-    return hot_region_integral(grid, params) + inner
+    return hot_region_integral(grid, params) + _running_trapezoid(g, grid)
+
+
+def _running_trapezoid(values: np.ndarray, grid: BetaGrid) -> np.ndarray:
+    """Trapezoidal integral of a nodal field from the first node to each."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1])
+                                            * grid.delta)))
 
 
 def thermal_term_integral(sigma: np.ndarray, grid: BetaGrid,
@@ -230,36 +235,18 @@ def acceleration_field(variant: ThermalVariant, sigma: np.ndarray,
     raise ValueError(f"unknown thermal variant: {variant!r}")
 
 
-def _slope_stencil(grid: BetaGrid) -> np.ndarray:
-    """(n, n) matrix D with D @ v equal to ``beta_derivative(v, grid)``."""
-    n = grid.count
-    w = 1.0 / (2.0 * grid.delta)
-    d = np.zeros((n, n))
-    inner = np.arange(1, n - 1)
-    d[inner, inner + 1] = w
-    d[inner, inner - 1] = -w
-    d[0, :3] = (-3.0 * w, 4.0 * w, -w)
-    d[-1, -3:] = (w, -4.0 * w, 3.0 * w)
-    return d
-
-
-def _trapezoid_weights(grid: BetaGrid) -> np.ndarray:
-    """(n, n) matrix W with W @ g the running trapezoid integral of g."""
-    w = np.tril(np.full((grid.count, grid.count), grid.delta))
-    w[:, 0] *= 0.5
-    np.fill_diagonal(w, 0.5 * grid.delta)
-    w[0] = 0.0
-    return w
-
-
 def _jacobian_structure(variant: ThermalVariant,
                         grid: BetaGrid) -> np.ndarray:
-    """The field-independent (n, n) matrix a variant's Jacobian scales."""
+    """The field-independent (n, n) matrix a variant's Jacobian scales:
+    the coupling operator its rhs applies, applied to each unit vector."""
     if variant is ThermalVariant.BETA_DERIVATIVE:
-        return _slope_stencil(grid)
-    if variant is ThermalVariant.INTEGRAL_FORM:
-        return _trapezoid_weights(grid)
-    raise ValueError(f"unknown thermal variant: {variant!r}")
+        operator = beta_derivative
+    elif variant is ThermalVariant.INTEGRAL_FORM:
+        operator = _running_trapezoid
+    else:
+        raise ValueError(f"unknown thermal variant: {variant!r}")
+    return np.column_stack([operator(unit, grid)
+                            for unit in np.eye(grid.count)])
 
 
 def _jacobian(variant: ThermalVariant, sig: np.ndarray, grid: BetaGrid,
@@ -292,7 +279,8 @@ def acceleration_jacobian(variant: ThermalVariant, sigma: np.ndarray,
     three-point rows at the edges.  The integral form couples each node
     to every hotter node through the running integral, so its matrix is
     lower triangular; the hot-region closure does not depend on the
-    field and adds nothing.  The derivative in the width rates is the
+    field and adds nothing.  Both structures are the rhs operator applied
+    to the unit vectors.  The derivative in the width rates is the
     friction rate -b/m on the diagonal for both variants.
     """
     return _jacobian(variant, np.asarray(sigma, dtype=float), grid, params,
@@ -310,8 +298,8 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
     v = (g2 + dh A x) / (1 + dh c).  Called as ``newton_solver(y, f0, dh)``
     by the adaptive driver once per step attempt, it inverts the n x n
     matrix there, so each of the attempt's solves is a matrix-vector
-    product.  The Jacobian's field-independent part is built once per
-    run.
+    product.  The Jacobian's field-independent part, the rhs coupling
+    operator applied to the unit vectors, is built once per run.
     """
     n = grid.count
     c = params.b / params.m
@@ -394,6 +382,7 @@ class ThermalTrajectory:
         return ThermalField(grid=self.grid, sigma=row[:n], sigma_dot=row[n:])
 
 
+@np.errstate(all="ignore")
 def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
                       params: PhysicalParams,
                       config: Optional[IntegratorConfig] = None):
@@ -419,9 +408,10 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
             variant, y[:n], y[n:], grid, params)))
 
     y0 = np.concatenate((initial.sigma, initial.sigma_dot))
+    newton_solver = (_schur_solver(variant, grid, params)
+                     if config.scheme is Scheme.TRBDF2 else None)
     fields, reason = _drive(rhs, y0, (t0, t1), config, nguard=n,
-                            newton_solver=_schur_solver(variant, grid,
-                                                        params))
+                            newton_solver=newton_solver)
     return ThermalTrajectory(variant=variant, params=params, grid=grid,
                              **fields), reason
 

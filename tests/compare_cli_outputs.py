@@ -7,7 +7,9 @@ overdamped dissipative model on TR-BDF2, a conservative run stopped by
 [0, 20 pi] sampled 20,001 times, thermal for the integral form on both
 schemes, the explicit one with a chart, and the slope form on TR-BDF2
 (also as a stiff 71-node hold at equilibrium, whose step sizes follow
-rounding) and, without params, at zero temperature, equilibrium, a
+rounding, and as a stiff 41-node run on [0.3, 4.1], a grid where the
+slope stencil's edge entries depend on how 1 / (2 delta) is rounded)
+and, without params, at zero temperature, equilibrium, a
 simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
 explicit thermal CSV, and ``verify`` of six suites) once against each
 tree, each in a fresh interpreter, and compares every CSV, SVG,
@@ -144,6 +146,17 @@ CONFIGS = {
         "samples": 201,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-9,
                        "abs_tol": 1e-12},
+    }),
+    # A stiff slope-form run on a grid whose derived edge stencil
+    # entries, c / (2 delta), differ by an ulp from c * (1 / (2 delta)).
+    "thermal-slope-ulp-grid": ("thermal", {
+        "variant": "beta-derivative",
+        "params": {"natural": {"friction": 80.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.3, "beta_max": 4.1, "beta_count": 41},
+        "profile": {"kind": "scaled-coth", "factor": 1.05},
+        "t_span": [0.0, 5.0],
+        "samples": 101,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
     }),
     # No params: the zero-temperature default, which the grid overrides.
     "thermal-zero-temperature": ("thermal", {

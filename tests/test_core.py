@@ -124,6 +124,20 @@ def test_energy_beyond_float_range_is_inf_without_a_warning(sigma,
     assert got[1] == core.energy(State(0.8, -0.3), p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("state", [State(10**400, 0.0), State(1.0, 10**400),
+                                   State(1.0, -10**400)],
+                         ids=["sigma", "rate", "negative-rate"])
+def test_energy_of_an_int_beyond_float_range_is_inf(state):
+    p = PhysicalParams()
+    assert core.energy(state, p) == math.inf
+    row = [state.sigma, state.sigma_dot]
+    got = core.energy([row, [0.8, -0.3]], p)
+    assert got[0] == math.inf
+    assert got[1] == core.energy(State(0.8, -0.3), p)
+    assert core.energy([row], p)[0] == math.inf
+
+
 def test_energy_minimised_at_ground_state():
     p = PhysicalParams()
     sg = core.ground_state_sigma(p)

@@ -287,6 +287,21 @@ def test_overdamped_run_and_first_order_sampling():
     assert got[7, 1] == pytest.approx(vel, rel=1e-14)
 
 
+@pytest.mark.parametrize("variant", list(ModelVariant),
+                         ids=lambda v: v.value)
+def test_first_order_exactly_for_the_overdamped_variants(variant):
+    params = PhysicalParams(b=2.0, beta=2.0, r=0.01)
+    if variant in models.OVERDAMPED_VARIANTS:
+        traj, _ = integrators.integrate_overdamped(variant, 1.0, (0.0, 0.1),
+                                                   params)
+    else:
+        traj, _ = integrators.integrate(variant, State(1.0, 0.0),
+                                        (0.0, 0.1), params)
+    assert traj.first_order is (variant in (
+        ModelVariant.OVERDAMPED_DISSIPATIVE,
+        ModelVariant.OVERDAMPED_HIGH_TEMPERATURE))
+
+
 def test_routing_and_initial_state_validation():
     params = PhysicalParams()
     with pytest.raises(ValueError, match="integrate_overdamped"):

@@ -343,11 +343,10 @@ def _perturbed_widths(grid, seed):
     return base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, grid.count))
 
 
-@pytest.mark.parametrize("variant", list(ThermalVariant))
-@pytest.mark.parametrize("count", [5, 21])
-def test_acceleration_jacobian_matches_central_difference(variant, count):
-    grid = BetaGrid.from_range(0.5, 4.0, count)
-    sig = _perturbed_widths(grid, count)
+def _jacobian_error(variant, sig, grid):
+    """Largest row-relative distance of ``acceleration_jacobian`` from
+    central differences of ``acceleration_field``."""
+    count = grid.count
     vel = np.linspace(-0.3, 0.2, count)
     jac = thermal.acceleration_jacobian(variant, sig, grid, P_JAC)
     assert jac.shape == (count, count)
@@ -363,14 +362,57 @@ def test_acceleration_jacobian_matches_central_difference(variant, count):
     # Row by row, so the one-sided edge rows are held to the same bound.
     row_err = (np.max(np.abs(jac - ref), axis=1)
                / np.max(np.abs(ref), axis=1))
-    assert np.max(row_err) <= 1e-6
-    if variant is ThermalVariant.BETA_DERIVATIVE:
-        j, k = np.indices(jac.shape)
-        stencil = (np.abs(j - k) <= 1) | ((j == 0) & (k == 2)) \
-            | ((j == count - 1) & (k == count - 3))
-        assert np.all(jac[~stencil] == 0.0)
-    else:
-        assert np.all(np.triu(jac, 1) == 0.0)
+    return jac, np.max(row_err)
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+@pytest.mark.parametrize("count", [5, 21])
+def test_acceleration_jacobian_matches_central_difference(variant, count):
+    # On [0.3, 4.1], c / (2 delta) and c * (1 / (2 delta)) differ by an
+    # ulp in the edge rows, so the stencil's rounding shows there.
+    for grid in (BetaGrid.from_range(0.5, 4.0, count),
+                 BetaGrid.from_range(0.3, 4.1, count)):
+        jac, err = _jacobian_error(variant, _perturbed_widths(grid, count),
+                                   grid)
+        assert err <= 1e-6
+        if variant is ThermalVariant.BETA_DERIVATIVE:
+            j, k = np.indices(jac.shape)
+            stencil = (np.abs(j - k) <= 1) | ((j == 0) & (k == 2)) \
+                | ((j == count - 1) & (k == count - 3))
+            assert np.all(jac[~stencil] == 0.0)
+        else:
+            assert np.all(np.triu(jac, 1) == 0.0)
+
+
+def test_slope_jacobian_follows_the_rhs_stencil(monkeypatch):
+    # Criterion 10's seeded fault: a forward difference inside.
+    real_derivative = thermal.beta_derivative
+
+    def lopsided(values, grid):
+        out = real_derivative(values, grid)
+        v = np.asarray(values, dtype=float)
+        out[1:-1] = (v[2:] - v[1:-1]) / grid.delta
+        return out
+
+    monkeypatch.setattr(thermal, "beta_derivative", lopsided)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    jac, err = _jacobian_error(ThermalVariant.BETA_DERIVATIVE,
+                               _perturbed_widths(grid, 4), grid)
+    assert err <= 1e-6
+    assert np.all(np.diag(jac, -1)[:-1] == 0.0)
+
+
+def test_integral_jacobian_follows_the_rhs_quadrature(monkeypatch):
+    # A left-point rule in place of the trapezoid.
+    def left_point(values, grid):
+        return np.concatenate(([0.0], np.cumsum(values[:-1] * grid.delta)))
+
+    monkeypatch.setattr(thermal, "_running_trapezoid", left_point)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    jac, err = _jacobian_error(ThermalVariant.INTEGRAL_FORM,
+                               _perturbed_widths(grid, 4), grid)
+    assert err <= 1e-6
+    assert np.all(np.triu(jac, 1) == 0.0)
 
 
 @pytest.mark.parametrize("variant", list(ThermalVariant))
