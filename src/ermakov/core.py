@@ -166,12 +166,20 @@ def energy(state, params: PhysicalParams):
     # 0 * inf never makes it NaN.
     trap = 0.5 * m * params.omega0 ** 2
     try:
-        return 0.5 * m * sd ** 2 \
-            + (trap * s ** 2 if 0.0 < trap < math.inf else trap) \
-            + hbar ** 2 / (8.0 * m * s ** 2)
+        trap_term = trap * s ** 2 if 0.0 < trap < math.inf else trap
+        value = 0.5 * m * sd ** 2 + trap_term + hbar ** 2 / (8.0 * m * s ** 2)
     except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not np.isnan(value).any():
+        return value
+    if isinstance(state, State):
         # A State's Python numbers raise where numpy scalars give inf.
         return float(energy([s, sd], params))
+    # 0.5 m or hbar^2 underflowed to 0 and met sd^2 = inf or 8 m s^2 = 0.
+    # Regrouped, each product pairs the state with one parameter; only
+    # NaN entries take the regrouped value, so finite ones keep theirs.
+    regrouped = 0.5 * (m * sd) * sd + trap_term + (hbar / s) ** 2 / (8.0 * m)
+    return np.where(np.isnan(value), regrouped, value)[()]
 
 
 def radiation_coefficient(charge: float,

@@ -277,6 +277,51 @@ def _dp54_floats(stage, y: list, f0, h: float, abs_tol: float,
     return y1, k7, math.sqrt(total / len(y)), (*k1, *k3, *k4, *k5, *k6, *k7)
 
 
+def _dp54_floats2(stage, y: list, f0, h: float, abs_tol: float,
+                  rel_tol: float):
+    """``_dp54_floats`` written out for a state of two floats (s, v).
+
+    The same expressions in the same term order, so it is bitwise equal
+    to the generic kernel, but with no comprehension or ``zip``: before
+    Python 3.12 each comprehension builds a frame of its own, and on 3.11
+    those frames and zips took about a third of a step attempt.  The
+    error loop is unrolled; both k7 entries are checked before any error
+    term is summed, as the loop checks each before it is used and the
+    terms themselves cannot raise.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    s, v = y
+    p1, q1 = f0
+    p2, q2 = stage([s + h * (a21 * p1), v + h * (a21 * q1)])
+    p3, q3 = stage([s + h * (a31 * p1 + a32 * p2),
+                    v + h * (a31 * q1 + a32 * q2)])
+    p4, q4 = stage([s + h * (a41 * p1 + a42 * p2 + a43 * p3),
+                    v + h * (a41 * q1 + a42 * q2 + a43 * q3)])
+    p5, q5 = stage([s + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                    v + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)])
+    p6, q6 = stage([s + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
+                             + a65 * p5),
+                    v + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4
+                             + a65 * q5)])
+    s1 = s + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+    v1 = v + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+    k7 = stage([s1, v1])
+    p7, q7 = k7
+    if not (math.isfinite(p7) and math.isfinite(q7)):
+        raise _BadStep
+    a, b = abs(s), abs(s1)
+    es = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) \
+        / (abs_tol + rel_tol * (b if b > a else a))
+    a, b = abs(v), abs(v1)
+    ev = h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7) \
+        / (abs_tol + rel_tol * (b if b > a else a))
+    return [s1, v1], k7, math.sqrt((es * es + ev * ev) / 2), \
+        (p1, q1, p3, q3, p4, q4, p5, q5, p6, q6, p7, q7)
+
+
 def _dp54_dense(states: np.ndarray, h: np.ndarray, steps: list):
     """Interpolant coefficients of a run's accepted DP54 steps.
 
@@ -562,10 +607,12 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     """Shared adaptive loop.
 
     ``rhs(y)`` returns the derivative at the state ``y`` as a sequence
-    of floats.  Explicit runs of dim <= 3 step on Python floats
-    (``_dp54_floats``), where ``rhs`` gets a list of floats; every other
-    call gets a numpy array, as do the first derivative and the
-    first-step heuristic of every run.  It runs with numpy's warnings
+    of floats.  Explicit runs of dim <= 3 step on Python floats, where
+    ``rhs`` gets a list of floats: a state of two on ``_dp54_floats2``
+    (``_dp54_floats`` written out for two floats, bitwise equal to it),
+    one or three on ``_dp54_floats``.  Every other call gets a numpy
+    array, as do the first derivative and the first-step heuristic of
+    every run.  It runs with numpy's warnings
     off, as it tests every value it goes on with for finite values.  A run
     keeps what its accepted steps return for their interpolants and
     builds all their coefficients once, at its end, with its scheme's
@@ -603,9 +650,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         y, f0 = y0.tolist(), f0.tolist()
         lowest = min
         stage = _float_stages(rhs, nguard, nfev)
+        kernel = _dp54_floats2 if y0.size == 2 else _dp54_floats
 
         def attempt(y, f0, h):
-            return _dp54_floats(stage, y, f0, h, abs_tol, rel_tol)
+            return kernel(stage, y, f0, h, abs_tol, rel_tol)
     else:
         y = y0.copy()
         lowest = np.min

@@ -323,11 +323,18 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
 
 def equilibrium_profile_coth(grid: BetaGrid,
                              params: PhysicalParams) -> ThermalField:
-    """Canonical equilibrium field, at rest, over the grid nodes."""
+    """Canonical equilibrium field, at rest, over the grid nodes.
+
+    Widths beyond the float range, 0 or inf, are a ValueError."""
     if params.omega0 <= 0.0:
         raise ValueError("the equilibrium profile requires omega0 > 0")
-    u = 0.5 * params.hbar * params.omega0 * grid.nodes
-    sigma_sq = params.hbar / (2.0 * params.m * params.omega0 * np.tanh(u))
+    with np.errstate(all="ignore"):
+        u = 0.5 * params.hbar * params.omega0 * grid.nodes
+        sigma_sq = params.hbar / (2.0 * params.m * params.omega0
+                                  * np.tanh(u))
+    if not np.all((sigma_sq > 0.0) & (sigma_sq < math.inf)):
+        raise ValueError("the equilibrium profile's widths are beyond the "
+                         "float range")
     return ThermalField.at_rest(grid, np.sqrt(sigma_sq))
 
 
@@ -433,7 +440,11 @@ def stationary_profile(variant: ThermalVariant, grid: BetaGrid,
         raise ValueError("relaxation requires omega0 > 0")
     relax_params = params
     if relax_params.b <= 0.0:
-        relax_params = relax_params.with_(b=2.0 * params.m * params.omega0)
+        critical = 2.0 * params.m * params.omega0
+        if critical == 0.0:
+            raise ValueError("relaxation: the critical damping 2 m omega0 "
+                             "underflows to 0")
+        relax_params = relax_params.with_(b=critical)
     if t_relax is None:
         t_relax = 80.0 * relax_params.m / relax_params.b \
             + 40.0 / params.omega0

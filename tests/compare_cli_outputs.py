@@ -3,7 +3,9 @@
 Runs a fixed config set (simulate for all seven width models, one of
 them with an SVG chart, the dissipative model at friction 20 and the
 overdamped dissipative model on TR-BDF2, a conservative run stopped by
-``max_steps`` and a tight conservative run of about 12,500 steps over
+``max_steps``, a conservative run with rejected steps, one at width
+1e150 whose every rhs call overflows on Python floats and is retried on
+numpy scalars, and a tight conservative run of about 12,500 steps over
 [0, 20 pi] sampled 20,001 times, thermal for the integral form on both
 schemes, the explicit one with a chart, and the slope form on TR-BDF2
 (also as a stiff 71-node hold at equilibrium, whose step sizes follow
@@ -173,6 +175,22 @@ CONFIGS = {
         "t_span": [0.0, 100.0],
         "samples": 51,
         "integrator": {"max_steps": 50},
+    }),
+    # Rejected steps on the two-float kernel.
+    "conservative-rejections": ("simulate", {
+        "model": "conservative",
+        "initial": {"sigma": 0.2, "sigma_dot": 3.0},
+        "t_span": [0.0, 10.0],
+        "samples": 201,
+        "integrator": {"rel_tol": 1e-4, "abs_tol": 1e-6},
+    }),
+    # sigma^3 overflows on Python floats: every rhs call is retried on
+    # numpy scalars.
+    "conservative-huge-width": ("simulate", {
+        "model": "conservative",
+        "initial": {"sigma": 1e150, "sigma_dot": 0.0},
+        "t_span": [0.0, 1.0],
+        "samples": 51,
     }),
     # About 12,500 tight steps, every one's dense rows sampled.
     "conservative-long-tight": ("simulate", {

@@ -4,8 +4,9 @@ a StopReason, never another exception and never a RuntimeWarning.
 Covers ``core.energy`` on states and rows (Python ints up to 10**400,
 floats up to +-1e308, subnormals), ``integrate`` and
 ``integrate_overdamped`` on capped runs (at most 2,000 steps over spans
-of at most 10) and ``integrate_thermal`` on 5-11-node grids on both
-schemes.  A run's result is sampled between its nodes and, for width
+of at most 10), and ``integrate_thermal`` and
+``thermal.stationary_profile`` on 5-11-node grids on both schemes.  A
+run's result is sampled between its nodes and, for width
 models, its node energies are taken.  Each example records its outcome
 as a Hypothesis event; ``--hypothesis-show-statistics`` shows the share
 of runs against early ValueErrors.  An off-line hunt runs a copy of this
@@ -99,15 +100,22 @@ def _check_run(traj, reason, t_span):
 @given(sigma=_ANY, rate=_ANY, params=_PARAMS)
 @example(sigma=10**400, rate=0.0, params=PhysicalParams())
 @example(sigma=1.0, rate=-10**400, params=PhysicalParams())
+# hbar^2 and 8 m s^2 underflow to 0: the energy is 1/8, not 0 / 0.
+@example(sigma=1e-170, rate=0.0, params=PhysicalParams(hbar=1e-170))
+# 0.5 m underflows to 0 and meets sd^2 = inf: the energy, about 2.5e322
+# from its quantum term alone, is beyond the float range, not 0 * inf.
+@example(sigma=1.0, rate=1e200, params=PhysicalParams(m=5e-324))
 def test_energy_ends_in_a_value(sigma, rate, params):
     try:
         value = core.energy(State(sigma, rate), params)
     except ValueError:
         assert not sigma > 0.0
     else:
-        assert isinstance(value, float) and value >= 0.0
+        assert isinstance(value, float) and not np.isnan(value)
+        assert value >= 0.0
     rows = core.energy([[sigma, rate], [1.0, 0.0]], params)
-    assert rows.shape == (2,) and np.all(rows >= 0.0)
+    assert rows.shape == (2,) and not np.isnan(rows).any()
+    assert np.all(rows >= 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -179,3 +187,40 @@ def test_integrate_thermal_ends_in_a_stop_reason(variant, beta_min, delta,
             event("ValueError")
             return
         _check_run(traj, reason, t_span)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=5000)
+@given(variant=st.sampled_from(list(ThermalVariant)),
+       beta_min=_mostly(st.floats(0.05, 2.0), st.sampled_from((1e-300,
+                                                               1e150))),
+       delta=_mostly(st.floats(0.02, 1.0), st.sampled_from((1e-320,
+                                                            1e150))),
+       count=st.integers(5, 11), params=_PARAMS,
+       t_relax=_mostly(st.one_of(st.none(), st.floats(1e-3, 10.0)),
+                       st.sampled_from((0.0, -1.0, 1e300))),
+       config=_CONFIG)
+# The start's widths overflowed, with a warning, in the equilibrium
+# profile.
+@example(variant=ThermalVariant.BETA_DERIVATIVE, beta_min=1.0, delta=1.0,
+         count=5, params=PhysicalParams(omega0=1.5361730212012385e-269),
+         t_relax=None, config=IntegratorConfig(max_steps=151))
+# The borrowed critical damping 2 m omega0 underflowed to 0, and the
+# default relaxation time divided by it.
+@example(variant=ThermalVariant.BETA_DERIVATIVE, beta_min=1.0, delta=1.0,
+         count=5, params=PhysicalParams(m=1e-150,
+                                        omega0=1.3242326892688798e-287),
+         t_relax=None, config=IntegratorConfig(max_steps=1))
+def test_stationary_profile_ends_in_a_value(variant, beta_min, delta, count,
+                                            params, t_relax, config):
+    with _clean():
+        try:
+            grid = BetaGrid(beta_min, delta, count)
+            profile = thermal.stationary_profile(variant, grid, params,
+                                                 t_relax, config)
+        except ValueError:
+            event("ValueError")
+            return
+    event("profile")
+    assert profile.shape == (count,)
+    assert np.all(np.isfinite(profile) & (profile > 0.0))

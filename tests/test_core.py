@@ -138,6 +138,24 @@ def test_energy_of_an_int_beyond_float_range_is_inf(state):
     assert core.energy([row], p)[0] == math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("state, params, expected", [
+    # hbar^2 and 8 m s^2 underflow to 0.
+    (State(1e-170, 0.0), PhysicalParams(hbar=1e-170), 0.125),
+    # 0.5 m underflows to 0 and sd^2 overflows; the quantum term,
+    # 1 / (8 m) = 2.5e322, is beyond the float range.
+    (State(1.0, 1e200), PhysicalParams(m=5e-324), math.inf),
+    # The same kinetic term with hbar^2 underflowing to 0 as well.
+    (State(1.0, 1e200), PhysicalParams(m=5e-324, hbar=1e-200),
+     0.5 * (5e-324 * 1e200) * 1e200),
+], ids=["hbar-squared", "tiny-mass", "tiny-mass-and-hbar"])
+def test_energy_of_underflowing_parameter_products(state, params, expected):
+    assert core.energy(state, params) == expected
+    got = core.energy([[state.sigma, state.sigma_dot], [0.8, -0.3]], params)
+    assert got[0] == expected
+    assert got[1] == core.energy(State(0.8, -0.3), params)
+
+
 def test_energy_minimised_at_ground_state():
     p = PhysicalParams()
     sg = core.ground_state_sigma(p)

@@ -13,6 +13,10 @@ On floats those must equal, bitwise, the rows the kernel formed per
 step with Python floats before; on arrays they must lie within the same
 ``14 eps sum|terms|`` of the rows numpy's matrix product ``k^T P``
 formed per attempt before.
+
+States of two floats step on ``_dp54_floats2``, the generic float
+kernel written out for (s, v).  It must equal ``_dp54_floats`` bitwise:
+on replayed stages, whatever they hold, and over whole runs.
 """
 
 import math
@@ -45,6 +49,46 @@ def _float_attempt(y, f0, stages, h):
                                                _ABS_TOL, _REL_TOL)
     c = integrators._dp54_dense(np.array([y, y1]), np.array([h]), [ks])
     return y1, f1, err, c[0]
+
+
+def _flaky_replay(stages, call, raises):
+    """A replay whose stage call number ``call`` raises OverflowError
+    ``raises`` times before it answers: once, as a model that overflows
+    on Python floats but not on numpy scalars; twice, as one that
+    overflows on both."""
+    calls = iter(stages)
+    count = [0, 0]
+
+    def rhs(y):
+        if count[0] == call and count[1] < raises:
+            count[1] += 1
+            raise OverflowError("raised by the test")
+        count[0] += 1
+        return next(calls)
+    return rhs
+
+
+def _float_kernel_outcome(kernel, y, k, h, call, raises):
+    """``kernel`` on replayed stages: (outcome, rhs calls counted), the
+    outcome its return value or the exception class it raised."""
+    nfev = [0]
+    stage = integrators._float_stages(
+        _flaky_replay([tuple(row) for row in k[1:]], call, raises), 1, nfev)
+    try:
+        out = kernel(stage, list(y), list(k[0]), h, _ABS_TOL, _REL_TOL)
+    except (integrators._FloorBreach, integrators._BadStep) as exc:
+        return type(exc), nfev[0]
+    return out, nfev[0]
+
+
+def _bits(outcome):
+    """An outcome with every float as its bit pattern, so that NaN
+    equals NaN and -0.0 differs from 0.0."""
+    if isinstance(outcome, type):
+        return outcome
+    y1, f1, err, stages = outcome
+    return (type(y1), type(f1), type(stages),
+            np.array([*y1, *f1, err, *stages], dtype=float).tobytes())
 
 
 def _matmul_rows(y, h, k):
@@ -100,11 +144,27 @@ def _random_input(rng, dim):
 def test_float_kernel_matches_the_array_kernel(dim):
     rng = np.random.default_rng(20261018 + dim)
     kinds = set()
+    unrolled_kinds = set()
     for _ in range(3000):
         y, k, h = _random_input(rng, dim)
         with np.errstate(all="ignore"):
             ref, got = _attempts(y, k[0], k[1:], h)
         kinds.add(ref if isinstance(ref, type) else "step")
+        if dim == 2:
+            # An attempt makes stage calls 0-5, so calls 6 and 7 never
+            # raise; a raise is retried on numpy scalars, or fails the
+            # step.
+            call, raises = int(rng.integers(0, 8)), int(rng.integers(0, 3))
+            with np.errstate(all="ignore"):
+                generic, unrolled = (
+                    _float_kernel_outcome(kernel, y, k, h, call, raises)
+                    for kernel in (integrators._dp54_floats,
+                                   integrators._dp54_floats2))
+            assert _bits(unrolled[0]) == _bits(generic[0])
+            assert unrolled[1] == generic[1]
+            retried = raises and generic[1] > call
+            unrolled_kinds.add((generic[0] if isinstance(generic[0], type)
+                                else "step", "retried" if retried else ""))
         if isinstance(ref, type):
             assert got is ref
             continue
@@ -134,6 +194,12 @@ def test_float_kernel_matches_the_array_kernel(dim):
         assert _within(c, c_ref, c_terms)
         assert err == err_ref or abs(err - err_ref) <= err_bound
     assert kinds == {"step", integrators._FloorBreach, integrators._BadStep}
+    if dim == 2:
+        assert unrolled_kinds >= {
+            (kind, retried)
+            for kind in ("step", integrators._FloorBreach,
+                         integrators._BadStep)
+            for retried in ("", "retried")}
 
 
 def _raising_after(calls_before, error):
@@ -215,23 +281,33 @@ _RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_RUNS))
-def test_dense_build_equals_the_per_step_rows(monkeypatch, name):
-    dim, run = _RUNS[name]
-    kernel = integrators._dp54_floats
-    stages = {}
+def _recording(monkeypatch, name, log):
+    """Replace the float kernel ``name`` by one that logs its stages by
+    (y, h), and the kernel's name with them."""
+    kernel = getattr(integrators, name)
 
     def recording(stage, y, f0, h, abs_tol, rel_tol):
         out = kernel(stage, y, f0, h, abs_tol, rel_tol)
-        stages[tuple(y), h] = out[3]
+        log[tuple(y), h] = name, out[3]
         return out
 
-    monkeypatch.setattr(integrators, "_dp54_floats", recording)
+    monkeypatch.setattr(integrators, name, recording)
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_dense_build_equals_the_per_step_rows(monkeypatch, name):
+    dim, run = _RUNS[name]
+    log = {}
+    for kernel in ("_dp54_floats", "_dp54_floats2"):
+        _recording(monkeypatch, kernel, log)
     with warnings.catch_warnings(), np.errstate(over="ignore"):
         # The huge width overflows on Python floats; its numpy-scalar
         # retries warn.
         warnings.simplefilter("ignore")
         traj, _ = run()
+    assert {kernel for kernel, _ in log.values()} == {
+        "_dp54_floats2" if dim == 2 else "_dp54_floats"}
+    stages = {key: ks for key, (_, ks) in log.items()}
     if name == "rejections":
         assert traj.n_rejected > 0
     assert traj.dense_coefficients.shape == (traj.n_accepted, 5, dim)
@@ -243,3 +319,34 @@ def test_dense_build_equals_the_per_step_rows(monkeypatch, name):
     reference = np.array(reference)
     assert reference.shape == traj.dense_coefficients.shape
     assert reference.tobytes() == traj.dense_coefficients.tobytes()
+
+
+_TWO_FLOAT_RUNS = {
+    **{name: _RUNS[name][1]
+       for name in ("conservative", "rejections", "huge-width")},
+    "sigma-guard": lambda: integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(0.05, -5.0), (0.0, 10.0),
+        PhysicalParams(hbar=1e-3), IntegratorConfig(sigma_min_guard=0.01)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_FLOAT_RUNS))
+def test_two_float_runs_equal_the_generic_kernel(monkeypatch, name):
+    run = _TWO_FLOAT_RUNS[name]
+    log = {}
+    _recording(monkeypatch, "_dp54_floats2", log)
+    traj, reason = run()
+    assert log
+    monkeypatch.setattr(integrators, "_dp54_floats2",
+                        integrators._dp54_floats)
+    generic, generic_reason = run()
+    assert reason is generic_reason
+    assert reason is {"sigma-guard": StopReason.SIGMA_GUARD_HIT}.get(
+        name, StopReason.COMPLETED)
+    if name in ("rejections", "sigma-guard"):
+        assert traj.n_rejected > 0
+    for key in ("times", "states", "step_sizes", "error_estimates",
+                "dense_coefficients"):
+        assert getattr(traj, key).tobytes() == getattr(generic, key).tobytes()
+    assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+        generic.n_accepted, generic.n_rejected, generic.n_rhs)
