@@ -18,6 +18,32 @@ import math
 from .core import PhysicalParams, State
 
 
+# The singular start of the overdamped closed forms: zero width, infinite
+# slope.
+_SINGULAR_START = State(sigma=0.0, sigma_dot=math.inf)
+
+
+def _in_float_range(closed_form):
+    """Raise ValueError where a closed form leaves the float range: an
+    overflow, an int beyond the float range, a division by an underflowed
+    zero, or a result that is not finite (but for ``_SINGULAR_START``)."""
+    @functools.wraps(closed_form)
+    def checked(*args):
+        try:
+            value = closed_form(*args)
+            parts = ((value.sigma, value.sigma_dot)
+                     if isinstance(value, State) else (value,))
+            finite = (all(math.isfinite(part) for part in parts)
+                      or value == _SINGULAR_START)
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{closed_form.__name__} leaves the float range "
+                             f"for these arguments")
+        return value
+    return checked
+
+
 def _pinney_basis(t: float, sigma0: float, sigma_dot0: float,
                   params: PhysicalParams) -> tuple[float, float, float, float]:
     """Linear-oscillator basis (u, u', v, v') at time t."""
@@ -41,6 +67,7 @@ def _pinney_coefficient(sigma0: float, params: PhysicalParams) -> float:
     return params.hbar ** 2 / (4.0 * params.m ** 2 * sigma0 ** 2)
 
 
+@_in_float_range
 def pinney_solution(t: float, sigma0: float, sigma_dot0: float,
                     params: PhysicalParams) -> State:
     """Exact conservative width at time t from (sigma0, sigma_dot0).
@@ -57,6 +84,7 @@ def pinney_solution(t: float, sigma0: float, sigma_dot0: float,
     return State(sigma=sigma, sigma_dot=sigma_dot)
 
 
+@_in_float_range
 def pinney_acceleration(t: float, sigma0: float, sigma_dot0: float,
                         params: PhysicalParams) -> float:
     """Second time derivative of the Pinney solution, computed from the basis.
@@ -75,6 +103,7 @@ def pinney_acceleration(t: float, sigma0: float, sigma_dot0: float,
     return (du * du + kw * dv * dv - w0 ** 2 * sigma_sq - sigma_dot ** 2) / sigma
 
 
+@_in_float_range
 def free_spreading(t: float, sigma0: float, params: PhysicalParams) -> State:
     """Free-particle spreading sigma^2 = sigma0^2 + (hbar t / (2 m sigma0))^2.
 
@@ -87,6 +116,7 @@ def free_spreading(t: float, sigma0: float, params: PhysicalParams) -> State:
     return State(sigma=sigma, sigma_dot=rate ** 2 * t / sigma)
 
 
+@_in_float_range
 def overdamped_relaxation(t: float, params: PhysicalParams) -> State:
     """Overdamped growth from a point start:
 
@@ -104,12 +134,13 @@ def overdamped_relaxation(t: float, params: PhysicalParams) -> State:
     decay = math.exp(-rate * t)
     sigma_sq = scale * math.sqrt(1.0 - decay)
     if sigma_sq == 0.0:
-        return State(sigma=0.0, sigma_dot=math.inf)
+        return _SINGULAR_START
     sigma = math.sqrt(sigma_sq)
     d_sigma_sq = scale * rate * decay / (2.0 * math.sqrt(1.0 - decay))
     return State(sigma=sigma, sigma_dot=d_sigma_sq / (2.0 * sigma))
 
 
+@_in_float_range
 def subdiffusion(t: float, params: PhysicalParams) -> State:
     """Frictional sub-diffusive spreading sigma^2 = hbar sqrt(t / (m b)).
 
@@ -121,28 +152,11 @@ def subdiffusion(t: float, params: PhysicalParams) -> State:
     if t < 0.0:
         raise ValueError("subdiffusion is defined for t >= 0")
     if t == 0.0:
-        return State(sigma=0.0, sigma_dot=math.inf)
+        return _SINGULAR_START
     sigma_sq = params.hbar * math.sqrt(t / (params.m * params.b))
     sigma = math.sqrt(sigma_sq)
     d_sigma_sq = sigma_sq / (2.0 * t)
     return State(sigma=sigma, sigma_dot=d_sigma_sq / (2.0 * sigma))
-
-
-def _in_float_range(closed_form):
-    """Raise ValueError where an equilibrium closed form leaves the float
-    range: an overflow, a division by an underflowed zero, or a result
-    that is not finite."""
-    @functools.wraps(closed_form)
-    def checked(params: PhysicalParams) -> float:
-        try:
-            value = closed_form(params)
-        except (OverflowError, ZeroDivisionError):
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{closed_form.__name__} leaves the float range "
-                             f"for these parameters")
-        return value
-    return checked
 
 
 @_in_float_range

@@ -45,9 +45,10 @@ _THERMAL_NAMES = {variant.value: variant for variant in ThermalVariant}
 # Most rows one run or one sweep may write to its CSV; every row is held
 # in memory.
 _MAX_ROWS = 1_000_000
-# Most thermal grid nodes: each TR-BDF2 attempt holds dense (n, n)
-# matrices (the Jacobian, the Newton matrix and its inverse), 32 MB each
-# at this size.
+# Most thermal grid nodes: a TR-BDF2 run builds the Jacobian's (n, n)
+# structure, and each integral-form attempt holds dense (n, n) matrices
+# (the Jacobian, the Newton matrix and its inverse), 32 MB each at this
+# size.
 _MAX_NODES = 2000
 # Most steps one run may take, and the default: the library's default of
 # a million steps lets a short config run for about a minute.

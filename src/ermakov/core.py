@@ -9,6 +9,7 @@ is exactly 0.0) rather than approximately.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,7 +137,38 @@ def ground_state_sigma(params: PhysicalParams) -> float:
         raise ValueError("ground-state width requires omega0 > 0")
     if 2.0 * params.m * params.omega0 == 0.0:
         raise ValueError("ground-state width: m * omega0 underflows to 0")
-    return math.sqrt(params.hbar / (2.0 * params.m * params.omega0))
+    ratio = params.hbar / (2.0 * params.m * params.omega0)
+    if sys.float_info.min <= ratio < math.inf:
+        return math.sqrt(ratio)
+    # The quotient left the float range; its square root does not.
+    return math.sqrt(params.hbar) / math.sqrt(2.0 * params.m * params.omega0)
+
+
+def _products_in_range(params: PhysicalParams) -> bool:
+    """Whether every parameter product of ``energy`` is a normal float:
+    0.5 m, hbar^2, 8 m and, unless omega0 is 0, omega0^2 and 0.5 m omega0^2.
+    """
+    m, omega0 = params.m, params.omega0
+    products = [0.5 * m, params.hbar ** 2, 8.0 * m]
+    if omega0 != 0.0:
+        products += [omega0 ** 2, 0.5 * m * omega0 ** 2]
+    return all(sys.float_info.min <= p < math.inf for p in products)
+
+
+def _scaled_energy(s, sd, params: PhysicalParams):
+    """``energy`` from the binary mantissas and exponents of its factors,
+    so that no product leaves the float range unless its term does."""
+    fm, em = np.frexp(params.m)
+    fh, eh = np.frexp(params.hbar)
+    fs, es = np.frexp(s)
+    fv, ev = np.frexp(sd)
+    kinetic = np.ldexp(0.5 * fm * fv * fv, em + 2 * ev)
+    trap = 0.0
+    if params.omega0 != 0.0:
+        fw, ew = np.frexp(params.omega0)
+        trap = np.ldexp(0.5 * fm * (fw * fs) ** 2, em + 2 * (ew + es))
+    quantum = np.ldexp(fh * fh / (8.0 * fm * fs * fs), 2 * eh - em - 2 * es)
+    return kinetic + trap + quantum
 
 
 @np.errstate(all="ignore")
@@ -147,7 +179,9 @@ def energy(state, params: PhysicalParams):
     rate b*sigma_dot^2 along the damped one.  ``state`` is a State, which
     must have sigma > 0, or an array of states whose last axis starts
     (sigma, sigma_dot); an array gives one energy per state and its widths
-    are not checked.  Beyond the float range, ints included, it is inf.
+    are not checked.  Beyond the float range, ints included, it is inf;
+    within it, it is finite even where a product of the parameters, or of
+    the state with one, leaves the range.
     """
     if isinstance(state, State):
         s, sd = state.sigma, state.sigma_dot
@@ -170,16 +204,17 @@ def energy(state, params: PhysicalParams):
         value = 0.5 * m * sd ** 2 + trap_term + hbar ** 2 / (8.0 * m * s ** 2)
     except (OverflowError, ZeroDivisionError):
         value = math.nan
-    if not np.isnan(value).any():
+    in_range = _products_in_range(params)
+    if in_range and np.isfinite(value).all():
         return value
     if isinstance(state, State):
         # A State's Python numbers raise where numpy scalars give inf.
         return float(energy([s, sd], params))
-    # 0.5 m or hbar^2 underflowed to 0 and met sd^2 = inf or 8 m s^2 = 0.
-    # Regrouped, each product pairs the state with one parameter; only
-    # NaN entries take the regrouped value, so finite ones keep theirs.
-    regrouped = 0.5 * (m * sd) * sd + trap_term + (hbar / s) ** 2 / (8.0 * m)
-    return np.where(np.isnan(value), regrouped, value)[()]
+    # A product that left the float range, of two parameters or of the
+    # state with one, lost a finite energy or gave 0 * inf.  Only those
+    # entries take the scaled value, so every other keeps its own.
+    return np.where(in_range & np.isfinite(value), value,
+                    _scaled_energy(s, sd, params))[()]
 
 
 def radiation_coefficient(charge: float,

@@ -617,9 +617,11 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     keeps what its accepted steps return for their interpolants and
     builds all their coefficients once, at its end, with its scheme's
     ``_dp54_dense`` or ``_hermite_dense``.
-    ``newton_solver(y, f0, dh)`` serves the implicit scheme: it returns
-    a function that solves (I - dh J(y)) x = g, J the Jacobian of
-    ``rhs``.  Without one, TR-BDF2 forms I - dh J from a
+    ``newton_solver(y, f0, dh)`` serves the implicit scheme: called once
+    per step attempt, it factors I - dh J(y), J the Jacobian of ``rhs``,
+    and returns the solve that every Newton iteration and the error
+    filter of the attempt reuse; ``np.linalg.LinAlgError`` from either is
+    a bad step.  Without one, TR-BDF2 forms I - dh J from a
     finite-difference Jacobian at every attempt.
     Returns (fields, reason): ``fields`` maps the trajectory field names
     (node arrays, dense coefficients and counters) to their values.

@@ -27,8 +27,10 @@ a Newton solver built on ``acceleration_jacobian``, the analytic
 Jacobian of the field, and reduces each Newton system to one n x n
 matrix (a Schur complement on the second-order block structure), which
 it factors once per step attempt and reuses for every Newton iteration
-and the error filter.  Its coupling across the grid is the rhs operator
-applied to the unit vectors, so it is written once.  The scalar width
+and the error filter: in O(n) where the Jacobian keeps to the slope
+stencil's three columns per row, by a dense inverse otherwise.  Its
+coupling across the grid is the rhs operator applied to the unit
+vectors, so it is written once.  The scalar width
 models keep the driver's finite-difference Jacobian.
 """
 
@@ -249,22 +251,58 @@ def _jacobian_structure(variant: ThermalVariant,
                             for unit in np.eye(grid.count)])
 
 
+def _dense_layout(structure: np.ndarray):
+    """The full (n, n) structure as a layout for ``_jacobian``: its
+    entries, their columns, and the diagonal's flat positions."""
+    n = structure.shape[0]
+    return structure, np.arange(n), slice(None, None, n + 1)
+
+
+def _stencil_layout(structure: np.ndarray):
+    """The structure as (n, 5) band rows, or None.
+
+    Row j holds columns j - 2 to j + 2, which keep the three central
+    diagonals and the entries (0, 2) and (n - 1, n - 3) of one-sided edge
+    stencils; every other place, and a column outside the matrix, holds
+    0.  None when the structure has a nonzero entry elsewhere.  The
+    layout is ``_dense_layout``'s triple.
+    """
+    n = structure.shape[0]
+    rows = np.arange(n)[:, None]
+    columns = rows + np.arange(-2, 3)
+    kept = (abs(columns - rows) <= 1) & (columns >= 0) & (columns < n)
+    kept[0, 4] = kept[-1, 0] = True
+    columns = columns.clip(0, n - 1)
+    entries = np.where(kept, np.take_along_axis(structure, columns, axis=1),
+                       0.0)
+    if np.count_nonzero(entries) != np.count_nonzero(structure):
+        return None
+    return entries, columns, slice(2, None, 5)
+
+
 def _jacobian(variant: ThermalVariant, sig: np.ndarray, grid: BetaGrid,
-              params: PhysicalParams, structure: np.ndarray) -> np.ndarray:
-    """``acceleration_jacobian`` on the variant's ``_jacobian_structure``."""
+              params: PhysicalParams, layout) -> np.ndarray:
+    """``acceleration_jacobian`` on a layout of the variant's
+    ``_jacobian_structure``: diag(d) + diag(row) S diag(col), where only
+    the integral form scales the columns."""
+    entries, columns, diagonal = layout
+    col = None
     if variant is ThermalVariant.BETA_DERIVATIVE:
         slope = beta_derivative(sig, grid)
         diag = (-params.omega0 ** 2
                 - 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * sig ** 4)
                 + 4.0 * slope / (params.m * sig ** 3))
-        jac = (-2.0 / (params.m * np.square(sig)))[:, None] * structure
+        row = -2.0 / (params.m * np.square(sig))
     else:
         integral = cumulative_quantum_integral(sig, grid, params)
         coef = 1.0 / (params.m * grid.nodes)
         diag = -params.omega0 ** 2 + coef * (integral - 1.0 / np.square(sig))
-        g_prime = -params.hbar ** 2 / (params.m * sig ** 5)
-        jac = (coef * sig)[:, None] * structure * g_prime
-    jac.flat[::sig.size + 1] += diag
+        row = coef * sig
+        col = -params.hbar ** 2 / (params.m * sig ** 5)
+    jac = row[:, None] * entries
+    if col is not None:
+        jac *= col[columns]
+    jac.flat[diagonal] += diag
     return jac
 
 
@@ -284,7 +322,65 @@ def acceleration_jacobian(variant: ThermalVariant, sigma: np.ndarray,
     friction rate -b/m on the diagonal for both variants.
     """
     return _jacobian(variant, np.asarray(sigma, dtype=float), grid, params,
-                     _jacobian_structure(variant, grid))
+                     _dense_layout(_jacobian_structure(variant, grid)))
+
+
+def _pivot(value: float) -> float:
+    """A pivot of ``_stencil_lu``; zero or not finite is LinAlgError."""
+    if not 0.0 < abs(value) < math.inf:
+        raise np.linalg.LinAlgError("zero or non-finite pivot")
+    return value
+
+
+def _stencil_lu(band: np.ndarray):
+    """Factor, in O(n), the n x n matrix M that ``band`` holds as
+    ``_stencil_layout`` rows; returns the solve of M x = b for one (n,)
+    right-hand side b.
+
+    Gaussian elimination without pivoting, on Python floats: the Thomas
+    recurrences of M's tridiagonal part, where M[0, 2] fills in M[1, 2]
+    and M[n-1, n-3] adds one multiplier to the last row.  A zero or
+    non-finite pivot raises LinAlgError, as a singular matrix does in
+    ``np.linalg.inv``.
+    """
+    # The band's columns: M[j, j-2], M[j, j-1], M[j, j], M[j, j+1] and
+    # M[j, j+2], of which the outer two hold only first = M[0, 2] and
+    # last = M[n-1, n-3].
+    far_low, sub, main, sup, far_up = band.T.tolist()
+    first, last = far_up[0], far_low[-1]
+    del sub[0], sup[-1]
+    pivots = [_pivot(main[0])]
+    factors = [sub[0] / pivots[0]]
+    sup[1] -= factors[0] * first
+    for low, mid, up in zip(sub[1:-1], main[1:-2], sup):
+        pivots.append(_pivot(mid - factors[-1] * up))
+        factors.append(low / pivots[-1])
+    pivots.append(_pivot(main[-2] - factors[-1] * sup[-2]))
+    last_factor = last / pivots[-2]
+    sub[-1] -= last_factor * sup[-2]
+    factors.append(sub[-1] / pivots[-1])
+    pivots.append(_pivot(main[-1] - factors[-1] * sup[-1]))
+    head, inner, end = pivots[0], pivots[-2:0:-1], pivots[-1]
+    sup.reverse()
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        values = b.tolist()
+        acc = values[0]
+        forward = [acc]
+        for factor, value in zip(factors, values[1:-1]):
+            acc = value - factor * acc
+            forward.append(acc)
+        x = (values[-1] - last_factor * forward[-2] - factors[-1] * acc) / end
+        out = [x]
+        forward.reverse()
+        for value, up, pivot in zip(forward, sup, inner):
+            x = (value - up * x) / pivot
+            out.append(x)
+        out.append((forward[-1] - sup[-1] * x - first * out[-2]) / head)
+        out.reverse()
+        return np.array(out)
+
+    return solve
 
 
 def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
@@ -294,27 +390,44 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
     The Jacobian of the stacked right-hand side is [[0, I], [A, -c I]]
     with A = ``acceleration_jacobian`` and c = b/m, so the Newton system
     (I - dh J) [x; v] = [g1; g2] reduces to one n x n system,
-    ((1 + dh c) I - dh^2 A) x = (1 + dh c) g1 + dh g2, followed by
-    v = (g2 + dh A x) / (1 + dh c).  Called as ``newton_solver(y, f0, dh)``
-    by the adaptive driver once per step attempt, it inverts the n x n
-    matrix there, so each of the attempt's solves is a matrix-vector
-    product.  The Jacobian's field-independent part, the rhs coupling
-    operator applied to the unit vectors, is built once per run.
+    M x = (1 + dh c) g1 + dh g2 with M = (1 + dh c) I - dh^2 A, followed
+    by v = (g2 + dh A x) / (1 + dh c).  Called as
+    ``newton_solver(y, f0, dh)`` by ``integrators._drive`` once per step
+    attempt, it factors M there, and each of the attempt's solves reuses
+    that factorisation.  How it factors is chosen once per run from the
+    Jacobian's field-independent part, the rhs coupling operator applied
+    to the unit vectors: a structure that ``_stencil_layout`` holds (the
+    slope form's) keeps A as (n, 5) band rows and factors M in O(n) with
+    ``_stencil_lu``; any other (the integral form's lower triangle)
+    keeps A as an (n, n) matrix and inverts M.  A singular M is
+    ``np.linalg.LinAlgError``, which ``_drive`` takes as a bad step.
     """
     n = grid.count
     c = params.b / params.m
     structure = _jacobian_structure(variant, grid)
+    layout = _stencil_layout(structure)
+    stencil = layout is not None
+    if not stencil:
+        layout = _dense_layout(structure)
+    columns, diagonal = layout[1:]
 
     def newton_solver(y: np.ndarray, f0: np.ndarray, dh: float):
-        a = _jacobian(variant, y[:n], grid, params, structure)
+        a = _jacobian(variant, y[:n], grid, params, layout)
         damp = 1.0 + dh * c
         mat = -dh * dh * a
-        mat.flat[::n + 1] += damp
-        minv = np.linalg.inv(mat)
+        mat.flat[diagonal] += damp
+        if stencil:
+            solve_widths = _stencil_lu(mat)
+
+            def times_a(x: np.ndarray) -> np.ndarray:
+                return (a * x[columns]).sum(axis=1)
+        else:
+            solve_widths = np.linalg.inv(mat).__matmul__
+            times_a = a.__matmul__
 
         def solve(g: np.ndarray) -> np.ndarray:
-            x = minv @ (damp * g[:n] + dh * g[n:])
-            return np.concatenate((x, (g[n:] + dh * (a @ x)) / damp))
+            x = solve_widths(damp * g[:n] + dh * g[n:])
+            return np.concatenate((x, (g[n:] + dh * times_a(x)) / damp))
 
         return solve
 

@@ -9,8 +9,9 @@ numpy scalars, and a tight conservative run of about 12,500 steps over
 [0, 20 pi] sampled 20,001 times, thermal for the integral form on both
 schemes, the explicit one with a chart, and the slope form on TR-BDF2
 (also as a stiff 71-node hold at equilibrium, whose step sizes follow
-rounding, and as a stiff 41-node run on [0.3, 4.1], a grid where the
-slope stencil's edge entries depend on how 1 / (2 delta) is rounded)
+rounding, as a stiff 41-node run on [0.3, 4.1], a grid where the
+slope stencil's edge entries depend on how 1 / (2 delta) is rounded,
+and as a 201-node run on that range at friction 20)
 and, without params, at zero temperature, equilibrium, a
 simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
 explicit thermal CSV, and ``verify`` of six suites) once against each
@@ -159,6 +160,17 @@ CONFIGS = {
         "t_span": [0.0, 5.0],
         "samples": 101,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+    # A 201-node slope-form run at friction 20: the stencil factorisation
+    # well beyond the 71-node hold.
+    "thermal-slope-201": ("thermal", {
+        "variant": "beta-derivative",
+        "params": {"natural": {"friction": 20.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.3, "beta_max": 4.1, "beta_count": 201},
+        "profile": {"kind": "scaled-coth", "factor": 1.1},
+        "t_span": [0.0, 0.5],
+        "samples": 6,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-6},
     }),
     # No params: the zero-temperature default, which the grid overrides.
     "thermal-zero-temperature": ("thermal", {

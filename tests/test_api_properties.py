@@ -5,7 +5,8 @@ Covers ``core.energy`` on states and rows (Python ints up to 10**400,
 floats up to +-1e308, subnormals), ``integrate`` and
 ``integrate_overdamped`` on capped runs (at most 2,000 steps over spans
 of at most 10), and ``integrate_thermal`` and
-``thermal.stationary_profile`` on 5-11-node grids on both schemes.  A
+``thermal.stationary_profile`` on 5-11-node grids on both schemes, and
+the closed forms of ``analytic`` with ``core.ground_state_sigma``.  A
 run's result is sampled between its nodes and, for width
 models, its node energies are taken.  Each example records its outcome
 as a Hypothesis event; ``--hypothesis-show-statistics`` shows the share
@@ -13,16 +14,18 @@ of runs against early ValueErrors.  An off-line hunt runs a copy of this
 file with larger ``max_examples``.
 """
 
+import math
 import sys
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ermakov import core, integrators, thermal
+from ermakov import analytic, core, integrators, thermal
 from ermakov.core import PhysicalParams, State, State3
 from ermakov.integrators import IntegratorConfig, Scheme, StopReason
 from ermakov.models import ModelVariant, OVERDAMPED_VARIANTS
@@ -95,6 +98,21 @@ def _check_run(traj, reason, t_span):
     assert traj.sample(mids).shape == (mids.size, traj.states.shape[1])
 
 
+def _exact_energy(sigma, rate, params):
+    """``core.energy`` in rational arithmetic, rounded once."""
+    s, v = Fraction(sigma), Fraction(rate)
+    m, w, hbar = (Fraction(x) for x in (params.m, params.omega0,
+                                        params.hbar))
+    return float(m * v * v / 2 + m * w * w * s * s / 2
+                 + hbar * hbar / (8 * m * s * s))
+
+
+# Finite energies that a product leaving the float range lost to inf or
+# to 0; each must match its exact value.
+_FINITE_ENERGIES = {(1.0, 1e200, PhysicalParams(m=1e-300)),
+                    (1e200, 0.0, PhysicalParams(m=1e-300, omega0=1e-20))}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=1000)
 @given(sigma=_ANY, rate=_ANY, params=_PARAMS)
@@ -105,6 +123,11 @@ def _check_run(traj, reason, t_span):
 # 0.5 m underflows to 0 and meets sd^2 = inf: the energy, about 2.5e322
 # from its quantum term alone, is beyond the float range, not 0 * inf.
 @example(sigma=1.0, rate=1e200, params=PhysicalParams(m=5e-324))
+# sd^2 overflows: the energy is 1 / (8 m) = 1.25e299, not inf.
+@example(sigma=1.0, rate=1e200, params=PhysicalParams(m=1e-300))
+# 0.5 m omega0^2 underflows to 0: the energy is its trap term, 5e59.
+@example(sigma=1e200, rate=0.0, params=PhysicalParams(m=1e-300,
+                                                      omega0=1e-20))
 def test_energy_ends_in_a_value(sigma, rate, params):
     try:
         value = core.energy(State(sigma, rate), params)
@@ -116,6 +139,72 @@ def test_energy_ends_in_a_value(sigma, rate, params):
     rows = core.energy([[sigma, rate], [1.0, 0.0]], params)
     assert rows.shape == (2,) and not np.isnan(rows).any()
     assert np.all(rows >= 0.0)
+    if (sigma, rate, params) in _FINITE_ENERGIES:
+        exact = _exact_energy(sigma, rate, params)
+        assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert rows[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+# Times for the closed forms: any finite float or an extreme, ints too.
+_TIME = _mostly(st.floats(-20.0, 20.0), _ANY)
+
+
+def _check_value(value):
+    """A closed form's result: finite floats, or the overdamped forms'
+    singular start State(0, inf)."""
+    if value == State(0.0, math.inf):
+        return
+    parts = ((value.sigma, value.sigma_dot) if isinstance(value, State)
+             else (value,))
+    assert all(isinstance(part, float) and math.isfinite(part)
+               for part in parts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=1000)
+@given(t=_TIME, sigma=_WIDTH, rate=_RATE, params=_PARAMS)
+# sigma0^2 overflowed (OverflowError) in the Pinney forms and free
+# spreading.
+@example(t=-8.243029761017695, sigma=1e308, rate=-0.43447829478134325,
+         params=PhysicalParams())
+# sigma0^2 underflowed to 0 and the Pinney forms divided by it; free
+# spreading's rate^2 overflowed.
+@example(t=12.380785882796808, sigma=2.2e-308, rate=1.3751373977761072,
+         params=PhysicalParams())
+# An int time beyond the float range.
+@example(t=10**400, sigma=1.0, rate=0.0, params=PhysicalParams(b=1.0))
+# 4 m omega0^2 / b overflowed and met exp(-inf) = 0: a NaN rate.
+@example(t=1e-150, sigma=1.0, rate=0.0,
+         params=PhysicalParams(m=1e150, omega0=1e150, b=48.485826293462665))
+# t / (m b) overflowed: an infinite width and a NaN rate.
+@example(t=1e308, sigma=1.0, rate=0.0,
+         params=PhysicalParams(hbar=1e-150, b=1e-150))
+# hbar / (m omega0) overflowed: an infinite Pinney width with a NaN
+# rate, and an infinite ground-state width where the width is 7.1e224;
+# 4 m omega0^2 / b underflowed to 0, and the overdamped form divided by
+# sqrt(1 - exp(0)).
+@example(t=16.17851387305533, sigma=1.0, rate=0.0,
+         params=PhysicalParams(m=1e-150, omega0=1e-150, hbar=1e150,
+                               b=1e150))
+def test_closed_forms_end_in_a_value(t, sigma, rate, params):
+    calls = [
+        (analytic.pinney_solution, (t, sigma, rate, params)),
+        (analytic.pinney_acceleration, (t, sigma, rate, params)),
+        (analytic.free_spreading, (t, sigma, params)),
+        (analytic.overdamped_relaxation, (t, params)),
+        (analytic.subdiffusion, (t, params)),
+        (analytic.equilibrium_coth, (params,)),
+        (analytic.equilibrium_high_temperature, (params,)),
+        (core.ground_state_sigma, (params,)),
+    ]
+    for closed_form, args in calls:
+        with _clean():
+            try:
+                value = closed_form(*args)
+            except ValueError:
+                event(f"{closed_form.__name__}: ValueError")
+                continue
+        _check_value(value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -415,26 +415,191 @@ def test_integral_jacobian_follows_the_rhs_quadrature(monkeypatch):
     assert np.all(np.triu(jac, 1) == 0.0)
 
 
-@pytest.mark.parametrize("variant", list(ThermalVariant))
-def test_schur_solver_matches_full_newton_matrix(variant):
-    count = 21
-    grid = BetaGrid.from_range(0.5, 4.0, count)
-    sig = _perturbed_widths(grid, 7)
-    y = np.concatenate((sig, np.zeros(count)))
-    a = thermal.acceleration_jacobian(variant, sig, grid, P_JAC)
-    c = P_JAC.b / P_JAC.m
+def _full_newton_matrix(variant, sig, grid, params, dh):
+    """I - dh J for the stacked [widths, width rates] system."""
+    count = grid.count
+    a = thermal.acceleration_jacobian(variant, sig, grid, params)
+    c = params.b / params.m
     jac = np.block([[np.zeros((count, count)), np.eye(count)],
                     [a, -c * np.eye(count)]])
-    newton_solver = thermal._schur_solver(variant, grid, P_JAC)
+    return np.eye(2 * count) - dh * jac
+
+
+def _cond_bound(full):
+    """max(1e-12, 4 cond eps), cond the full matrix's 2-norm condition
+    number."""
+    return max(1e-12, 4.0 * np.linalg.cond(full) * np.finfo(float).eps)
+
+
+def _assert_solves_match(variant, sig, grid, params, dhs,
+                         relative_bound=_cond_bound):
+    """Every solve of ``_schur_solver`` lies within
+    ``relative_bound(full)`` of ``np.linalg.solve`` on the full Newton
+    matrix, relative to the solution's norm."""
+    y = np.concatenate((sig, np.zeros(grid.count)))
+    newton_solver = thermal._schur_solver(variant, grid, params)
     rng = np.random.default_rng(3)
-    for dh in (1e-4, 0.05, 2.0):
+    for dh in dhs:
+        full = _full_newton_matrix(variant, sig, grid, params, dh)
+        bound = relative_bound(full)
         solve = newton_solver(y, None, dh)
         for _ in range(3):
-            g = rng.standard_normal(2 * count)
-            ref = np.linalg.solve(np.eye(2 * count) - dh * jac, g)
-            got = solve(g)
-            assert (np.linalg.norm(got - ref)
-                    <= 1e-12 * np.linalg.norm(ref))
+            g = rng.standard_normal(2 * grid.count)
+            ref = np.linalg.solve(full, g)
+            assert np.linalg.norm(solve(g) - ref) <= bound * np.linalg.norm(
+                ref), (grid.count, params.b, dh)
+
+
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_schur_solver_matches_full_newton_matrix(variant):
+    grid = BetaGrid.from_range(0.5, 4.0, 21)
+    _assert_solves_match(variant, _perturbed_widths(grid, 7), grid, P_JAC,
+                         (1e-4, 0.05, 2.0), lambda full: 1e-12)
+
+
+def _stress_widths(profile, grid):
+    coth = thermal.equilibrium_profile_coth(grid, P_JAC).sigma
+    rng = np.random.default_rng(11)
+    if profile == "coth":
+        return coth
+    if profile == "reversed":
+        return coth[::-1].copy()
+    if profile == "noisy":
+        return coth * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, grid.count))
+    return rng.uniform(0.2, 3.0, grid.count)
+
+
+@pytest.mark.parametrize("profile", ["coth", "reversed", "noisy", "random"])
+@pytest.mark.parametrize("variant", list(ThermalVariant))
+def test_schur_solver_matches_full_newton_matrix_under_stress(variant,
+                                                              profile):
+    # Sizes up to 201 nodes, friction from 0 to 80 (b / (m omega0)) and
+    # steps from 1e-4 to 100, where the Newton matrix is far from I.
+    for count in (11, 41, 201):
+        grid = BetaGrid.from_range(0.3, 4.1, count)
+        sig = _stress_widths(profile, grid)
+        for friction in (0.0, 0.5, 80.0):
+            params = P_JAC.with_(b=friction * P_JAC.m * P_JAC.omega0)
+            dhs = (1e-4, 0.05, 2.0, 100.0) if count < 201 else (0.05, 100.0)
+            _assert_solves_match(variant, sig, grid, params, dhs)
+
+
+_REAL_BETA_DERIVATIVE = thermal.beta_derivative
+
+
+def _lopsided(values, grid):
+    """Criterion 10's seeded fault: a forward difference inside, so that
+    M[n-2, n-3] is 0 while M[n-1, n-3] is not."""
+    out = _REAL_BETA_DERIVATIVE(values, grid)
+    v = np.asarray(values, dtype=float)
+    out[1:-1] = (v[2:] - v[1:-1]) / grid.delta
+    return out
+
+
+def _lagging(values, grid):
+    """The mirror image: a backward difference inside, so that M[1, 2]
+    and M[n-2, n-3] are 0 while the edge entries are not."""
+    out = _REAL_BETA_DERIVATIVE(values, grid)
+    v = np.asarray(values, dtype=float)
+    out[1:-1] = (v[1:-1] - v[:-2]) / grid.delta
+    return out
+
+
+def _five_point(values, grid):
+    """A wider stencil: fourth-order central differences two nodes in
+    from each edge."""
+    out = _REAL_BETA_DERIVATIVE(values, grid)
+    v = np.asarray(values, dtype=float)
+    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (
+        12.0 * grid.delta)
+    return out
+
+
+def _count_factorisations(monkeypatch):
+    """Count ``np.linalg.inv``, ``np.linalg.solve`` and ``_stencil_lu``
+    calls from here on."""
+    calls = {"inv": 0, "solve": 0, "stencil": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve",
+                                                     np.linalg.solve))
+    monkeypatch.setattr(thermal, "_stencil_lu",
+                        counted("stencil", thermal._stencil_lu))
+    return calls
+
+
+@pytest.mark.parametrize("operator, stencil", [(_lopsided, True),
+                                               (_lagging, True),
+                                               (_five_point, False)])
+def test_schur_solver_follows_the_slope_stencil(monkeypatch, operator,
+                                                stencil):
+    # A mutated stencil that keeps three adjacent columns per row still
+    # takes the O(n) factorisation; a wider one falls back to the dense
+    # inverse.  Both solve their own mutated Newton system.
+    monkeypatch.setattr(thermal, "beta_derivative", operator)
+    calls = _count_factorisations(monkeypatch)
+    variant = ThermalVariant.BETA_DERIVATIVE
+    grid = BetaGrid.from_range(0.5, 4.0, 21)
+    structure = thermal._jacobian_structure(variant, grid)
+    assert (thermal._stencil_layout(structure) is not None) is stencil
+    sig = _perturbed_widths(grid, 7)
+    dhs = (1e-4, 0.05, 2.0)
+    _assert_solves_match(variant, sig, grid, P_JAC, dhs)
+    assert calls["stencil"] == (len(dhs) if stencil else 0)
+    assert calls["inv"] == (0 if stencil else len(dhs))
+
+
+def test_stencil_lu_solves_and_names_a_zero_pivot():
+    count = 9
+    rng = np.random.default_rng(5)
+    dense = np.diag(rng.uniform(3.0, 4.0, count))
+    for j in range(count - 1):
+        dense[j, j + 1], dense[j + 1, j] = rng.uniform(-1.0, 1.0, 2)
+    dense[0, 2], dense[-1, -3] = 0.7, -0.4
+    layout = thermal._stencil_layout(dense)
+    assert layout is not None
+    band = layout[0]
+    b = rng.standard_normal(count)
+    x = thermal._stencil_lu(band)(b)
+    assert np.linalg.norm(x - np.linalg.solve(dense, b)) <= 1e-14 * (
+        np.linalg.norm(x))
+    # Leading rows [1, 1, 0] and [1, 1, 0.5]: the second pivot is 0.
+    singular = band.copy()
+    singular[:2] = ((0.0, 0.0, 1.0, 1.0, 0.0), (0.0, 1.0, 1.0, 0.5, 0.0))
+    nan, inf = band.copy(), band.copy()
+    nan[4, 2], inf[4, 2] = np.nan, np.inf
+    for bad in (singular, nan, inf):
+        with pytest.raises(np.linalg.LinAlgError):
+            thermal._stencil_lu(bad)
+
+
+@pytest.mark.parametrize("row", [0, 5, 10])
+def test_trbdf2_zero_pivot_is_a_stop_reason(monkeypatch, row):
+    # Every attempt's Newton matrix loses one row, so its factorisation
+    # meets a zero pivot: each attempt is a bad step, and the run stops
+    # with a reason instead of a ZeroDivisionError.
+    real = thermal._stencil_lu
+
+    def singular(band):
+        band = band.copy()
+        band[row] = 0.0
+        return real(band)
+
+    monkeypatch.setattr(thermal, "_stencil_lu", singular)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    params = P.with_(b=10.0)
+    start = thermal.equilibrium_profile_coth(grid, params)
+    traj, reason = thermal.integrate_thermal(
+        ThermalVariant.BETA_DERIVATIVE, start, (0.0, 1.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2))
+    assert reason is StopReason.STEP_UNDERFLOW
+    assert traj.n_accepted == 0 and traj.n_rejected > 0
 
 
 @pytest.mark.parametrize("variant", list(ThermalVariant))
@@ -463,20 +628,10 @@ def test_trbdf2_field_rhs_calls_equal_n_rhs(monkeypatch, variant):
 @pytest.mark.parametrize("variant", list(ThermalVariant))
 def test_trbdf2_field_factors_once_per_attempt(monkeypatch, variant):
     # Every Newton iteration and the error filter of an attempt reuse one
-    # inverse of the attempt's Newton matrix.
-    calls = {"inv": 0, "solve": 0}
-    inv, solve = np.linalg.inv, np.linalg.solve
-
-    def counted_inv(*args, **kwargs):
-        calls["inv"] += 1
-        return inv(*args, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    # factorisation of the attempt's Newton matrix: the slope form's
+    # O(n) stencil factorisation, with no dense inverse or solve, or the
+    # integral form's inverse.
+    calls = _count_factorisations(monkeypatch)
     grid = BetaGrid.from_range(0.5, 4.0, 11)
     params = P.with_(b=10.0)
     start = ThermalField.at_rest(
@@ -486,8 +641,11 @@ def test_trbdf2_field_factors_once_per_attempt(monkeypatch, variant):
         IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11))
     assert reason is StopReason.COMPLETED
     assert traj.n_accepted > 10
-    assert calls["inv"] == traj.n_accepted + traj.n_rejected
-    assert calls["solve"] == 0
+    attempts = traj.n_accepted + traj.n_rejected
+    if variant is ThermalVariant.BETA_DERIVATIVE:
+        assert calls == {"inv": 0, "solve": 0, "stencil": attempts}
+    else:
+        assert calls == {"inv": attempts, "solve": 0, "stencil": 0}
 
 
 def test_slope_form_hold_needs_few_rhs_per_step():
