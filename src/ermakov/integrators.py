@@ -206,15 +206,28 @@ def _dp54_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
             k[[0, 2, 3, 4, 5, 6]])
 
 
-def _float_stages(rhs, nguard: int, nfev: list):
+def _numpy_retry(rhs, ys: list, nfev: list):
+    """A stage call that raised on Python floats, repeated on numpy
+    scalars and counted again.
+
+    The models raise OverflowError or ZeroDivisionError on Python floats
+    where numpy scalars give inf or NaN, so the step then fails, or goes
+    on, as it does on arrays.  A call that raises there too is a bad
+    step.
+    """
+    nfev[0] += 1
+    try:
+        return [float(v) for v in rhs(np.array(ys))]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _BadStep from exc
+
+
+def _float_stages(rhs, nfev: list):
     """The stage evaluator of the float kernel: check, count, call ``rhs``.
 
-    Each call checks a stage state as ``_dp54_attempt`` does, adds one to
-    ``nfev[0]`` and evaluates ``rhs`` there.  The models raise
-    OverflowError or ZeroDivisionError on Python floats where numpy
-    scalars give inf or NaN, so a call that raises is repeated, and
-    counted again, on numpy scalars: the step then fails, or goes on, as
-    it does on arrays.  A call that raises there too is a bad step.
+    Each call checks a stage state as ``_dp54_attempt`` does with one
+    guarded entry, adds one to ``nfev[0]`` and evaluates ``rhs`` there; a
+    call that raises goes to ``_numpy_retry``.
     """
     isfinite = math.isfinite
 
@@ -222,19 +235,40 @@ def _float_stages(rhs, nguard: int, nfev: list):
         for v in ys:
             if not isfinite(v):
                 raise _BadStep
-        for v in ys[:nguard]:
-            if v <= 0.0:
-                raise _FloorBreach
+        if ys[0] <= 0.0:
+            raise _FloorBreach
         nfev[0] += 1
         try:
             return rhs(ys)
         except (OverflowError, ZeroDivisionError):
             pass
+        return _numpy_retry(rhs, ys, nfev)
+    return stage
+
+
+def _width_stages(accel, variant: ModelVariant, params: PhysicalParams,
+                  rhs, nfev: list):
+    """``_float_stages`` for a second-order width model on (s, v).
+
+    ``rhs(y)`` is ``(y[1], accel(variant, y, params))``; each stage
+    returns that pair itself, with no ``rhs`` frame between it and
+    ``accel``.  The checks, the count and the numpy-scalar retry (on
+    ``rhs``) are those of ``_float_stages``.
+    """
+    isfinite = math.isfinite
+
+    def stage(ys: list):
+        s, v = ys
+        if not (isfinite(s) and isfinite(v)):
+            raise _BadStep
+        if s <= 0.0:
+            raise _FloorBreach
         nfev[0] += 1
         try:
-            return [float(v) for v in rhs(np.array(ys))]
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _BadStep from exc
+            return v, accel(variant, ys, params)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        return _numpy_retry(rhs, ys, nfev)
     return stage
 
 
@@ -603,16 +637,23 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
 def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
            runaway_scale: Optional[float] = None,
            runaway_window: Optional[float] = None, nguard: int = 1,
-           newton_solver=None):
+           newton_solver=None, width_rate: Optional[tuple] = None):
     """Shared adaptive loop.
 
     ``rhs(y)`` returns the derivative at the state ``y`` as a sequence
     of floats.  Explicit runs of dim <= 3 step on Python floats, where
     ``rhs`` gets a list of floats: a state of two on ``_dp54_floats2``
     (``_dp54_floats`` written out for two floats, bitwise equal to it),
-    one or three on ``_dp54_floats``.  Every other call gets a numpy
-    array, as do the first derivative and the first-step heuristic of
-    every run.  It runs with numpy's warnings
+    one or three on ``_dp54_floats``.  Only width models take that path
+    (thermal fields have 2n >= 10 entries), so its stage evaluators guard
+    the first entry alone, ``ys[0] <= 0.0``.  ``width_rate``, given as
+    ``(accel, variant, params)`` with an ``rhs`` that returns
+    ``(y[1], accel(variant, y, params))``, marks a second-order width
+    model, whose stages ``_width_stages`` evaluates by calling ``accel``
+    itself: a conservative stage is then three Python frames, the
+    evaluator, ``models.acceleration`` and ``conservative_acceleration``.
+    Every other call gets a numpy array, as do the first derivative and
+    the first-step heuristic of every run.  It runs with numpy's warnings
     off, as it tests every value it goes on with for finite values.  A run
     keeps what its accepted steps return for their interpolants and
     builds all their coefficients once, at its end, with its scheme's
@@ -651,7 +692,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     if floats:
         y, f0 = y0.tolist(), f0.tolist()
         lowest = min
-        stage = _float_stages(rhs, nguard, nfev)
+        if width_rate is None:
+            stage = _float_stages(rhs, nfev)
+        else:
+            stage = _width_stages(*width_rate, rhs, nfev)
         kernel = _dp54_floats2 if y0.size == 2 else _dp54_floats
 
         def attempt(y, f0, h):
@@ -860,6 +904,7 @@ def integrate(variant: ModelVariant, initial, t_span,
                       / (4.0 * params.m ** 2 * sigma0 ** 3))
         runaway_scale = float(max(abs(accel0), base_scale))
         runaway_window = params.r / params.m
+        width_rate = None
     else:
         accel = models.acceleration
 
@@ -868,9 +913,10 @@ def integrate(variant: ModelVariant, initial, t_span,
 
         runaway_scale = None
         runaway_window = None
+        width_rate = (accel, variant, params)
 
     fields, reason = _drive(rhs, y0, (t0, t1), config, runaway_scale,
-                            runaway_window)
+                            runaway_window, width_rate=width_rate)
     return Trajectory(variant=variant, params=params, **fields), reason
 
 

@@ -17,7 +17,13 @@ b s' = -m w0^2 s + [k_B T / s] + hbar^2 / (4 m s^3).
 The functions that read a whole state take a ``State`` (``State3`` for the
 jerk) or the plain row (sigma, sigma_dot[, sigma_ddot]) as a list, a tuple
 or a numpy array; the integrators pass rows, so no state object is built
-per evaluation.
+per evaluation.  The second-order functions read a row in place, and
+``conservative_acceleration`` writes the quantum term out, so a
+conservative two-float DP54 stage is three Python frames: the
+integrator's stage evaluator, ``acceleration`` (the one entry the
+integrators call per rhs evaluation) and ``conservative_acceleration``.
+Each formula is looked up as a module attribute at call time, so a
+replaced one reaches every stage.
 """
 
 from enum import Enum, unique
@@ -64,13 +70,19 @@ def quantum_pressure_acceleration(sigma: float, params: PhysicalParams) -> float
 
 
 def conservative_acceleration(sigma: float, params: PhysicalParams) -> float:
-    """sigma_ddot = -w0^2 sigma + hbar^2 / (4 m^2 sigma^3)."""
-    return -params.omega0 ** 2 * sigma + quantum_pressure_acceleration(sigma, params)
+    """sigma_ddot = -w0^2 sigma + hbar^2 / (4 m^2 sigma^3).
+
+    The quantum term is ``quantum_pressure_acceleration`` written out,
+    the same expression, so each rhs evaluation saves a call.
+    """
+    return -params.omega0 ** 2 * sigma \
+        + params.hbar ** 2 / (4.0 * params.m ** 2 * sigma ** 3)
 
 
 def damped_acceleration(state, params: PhysicalParams) -> float:
     """Conservative acceleration plus linear friction -(b/m) sigma_dot."""
-    s, sd = _row(state)
+    s, sd = (state.sigma, state.sigma_dot) if isinstance(state, State) \
+        else state
     return conservative_acceleration(s, params) - (params.b / params.m) * sd
 
 
@@ -86,9 +98,8 @@ def thermal_pressure_acceleration(sigma: float, params: PhysicalParams) -> float
 
 def high_temperature_acceleration(state, params: PhysicalParams) -> float:
     """Damped acceleration plus the classical thermal push 1/(beta m sigma)."""
-    row = _row(state)
-    return damped_acceleration(row, params) \
-        + thermal_pressure_acceleration(row[0], params)
+    return damped_acceleration(state, params) + thermal_pressure_acceleration(
+        state.sigma if isinstance(state, State) else state[0], params)
 
 
 def radiative_jerk(state, params: PhysicalParams) -> float:
@@ -114,7 +125,8 @@ def radiative_reduced_acceleration(state, params: PhysicalParams) -> float:
     it into a width-dependent friction:
     sigma_ddot = conservative - (r/m) (w0^2 + 3 hbar^2/(4 m^2 sigma^4)) sigma_dot.
     """
-    s, sd = _row(state)
+    s, sd = (state.sigma, state.sigma_dot) if isinstance(state, State) \
+        else state
     effective_friction = (params.r / params.m) * (
         params.omega0 ** 2
         + 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * s ** 4)
@@ -138,7 +150,8 @@ def overdamped_velocity(sigma: float, params: PhysicalParams,
 def acceleration(variant: ModelVariant, state, params: PhysicalParams) -> float:
     """Dispatch sigma_ddot for the second-order variants."""
     if variant is ModelVariant.CONSERVATIVE:
-        return conservative_acceleration(_row(state)[0], params)
+        return conservative_acceleration(
+            state.sigma if isinstance(state, State) else state[0], params)
     if variant is ModelVariant.DISSIPATIVE:
         return damped_acceleration(state, params)
     if variant is ModelVariant.HIGH_TEMPERATURE:

@@ -16,10 +16,14 @@ formed per attempt before.
 
 States of two floats step on ``_dp54_floats2``, the generic float
 kernel written out for (s, v).  It must equal ``_dp54_floats`` bitwise:
-on replayed stages, whatever they hold, and over whole runs.
+on replayed stages, whatever they hold, and over whole runs.  The stages
+of a second-order width model go through ``_width_stages``, which calls
+the acceleration itself; it must equal ``_float_stages`` on the model's
+rhs bitwise, stage by stage and over whole runs.
 """
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -44,7 +48,7 @@ def _float_attempt(y, f0, stages, h):
     """The float kernel's step with its dense coefficients built, as
     (y1, f1, err, dense_coeffs)."""
     stage = integrators._float_stages(_replay([tuple(k) for k in stages]),
-                                      1, [0])
+                                      [0])
     y1, f1, err, ks = integrators._dp54_floats(stage, list(y), list(f0), h,
                                                _ABS_TOL, _REL_TOL)
     c = integrators._dp54_dense(np.array([y, y1]), np.array([h]), [ks])
@@ -73,7 +77,7 @@ def _float_kernel_outcome(kernel, y, k, h, call, raises):
     outcome its return value or the exception class it raised."""
     nfev = [0]
     stage = integrators._float_stages(
-        _flaky_replay([tuple(row) for row in k[1:]], call, raises), 1, nfev)
+        _flaky_replay([tuple(row) for row in k[1:]], call, raises), nfev)
     try:
         out = kernel(stage, list(y), list(k[0]), h, _ABS_TOL, _REL_TOL)
     except (integrators._FloorBreach, integrators._BadStep) as exc:
@@ -200,6 +204,90 @@ def test_float_kernel_matches_the_array_kernel(dim):
             for kind in ("step", integrators._FloorBreach,
                          integrators._BadStep)
             for retried in ("", "retried")}
+
+
+class _ScriptedRate:
+    """A stand-in for ``models.acceleration``: each call takes the next
+    of ``answers``, a float to return or an exception class to raise,
+    and logs the types of what it was given."""
+
+    def __init__(self):
+        self.answers = []
+        self.log = []
+
+    def __call__(self, variant, y, params):
+        self.log.append((type(variant), type(y), type(params)))
+        answer = self.answers.pop(0)
+        if isinstance(answer, type):
+            raise answer("raised by the test")
+        return answer
+
+
+def _random_stage(rng):
+    """(ys, answers): a stage state and the acceleration calls' answers
+    for it, with non-finite and non-positive widths, signed zeros and
+    NaN among them, and a model that raises on none, one or both of the
+    Python-float call and its numpy-scalar retry."""
+    specials = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e308]
+    s = rng.uniform(0.1, 3.0) if rng.uniform() < 0.8 \
+        else float(rng.choice(specials))
+    v = rng.standard_normal() if rng.uniform() < 0.8 \
+        else float(rng.choice(specials))
+    value = rng.standard_normal() if rng.uniform() < 0.8 \
+        else float(rng.choice(specials))
+    error = (OverflowError, ZeroDivisionError)[rng.integers(2)]
+    raises = int(rng.choice(3, p=[0.6, 0.2, 0.2]))
+    return [float(s), float(v)], [error] * raises + [float(value)]
+
+
+def _stage_bits(stage, ys):
+    """A stage's return value with its element types and bit patterns
+    (NaN equal to NaN, -0.0 apart from 0.0), or the exception class it
+    raised."""
+    try:
+        out = stage(list(ys))
+    except (integrators._FloorBreach, integrators._BadStep) as exc:
+        return type(exc)
+    return type(out), tuple(map(type, out)), struct.pack("2d", *out)
+
+
+def test_width_stages_equal_the_generic_stage_evaluator():
+    rng = np.random.default_rng(20261019)
+    variant, params = ModelVariant.DISSIPATIVE, PhysicalParams(b=0.3)
+    evaluators = []
+    for name in ("_float_stages", "_width_stages"):
+        rate, nfev = _ScriptedRate(), [0]
+
+        def rhs(y, rate=rate):
+            return y[1], rate(variant, y, params)
+
+        stage = integrators._float_stages(rhs, nfev) \
+            if name == "_float_stages" \
+            else integrators._width_stages(rate, variant, params, rhs, nfev)
+        evaluators.append((stage, rate, nfev))
+    kinds = set()
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            ys, answers = _random_stage(rng)
+            outcomes = []
+            for stage, rate, nfev in evaluators:
+                rate.answers = list(answers)
+                outcomes.append((_stage_bits(stage, ys), nfev[0],
+                                 len(rate.answers)))
+            generic, width = outcomes
+            assert width == generic
+            calls = len(answers) - generic[2]
+            kinds.add((generic[0] if isinstance(generic[0], type)
+                       else "step", min(calls, 2)))
+    (_, generic_rate, _), (_, width_rate, _) = evaluators
+    assert width_rate.log == generic_rate.log
+    assert kinds == {
+        ("step", 1),                      # a clean stage
+        (integrators._FloorBreach, 0),    # a width at or below 0
+        (integrators._BadStep, 0),        # a non-finite stage state
+        ("step", 2),                      # a retry that succeeds
+        (integrators._BadStep, 2),        # a retry that fails
+    }
 
 
 def _raising_after(calls_before, error):
@@ -332,21 +420,38 @@ _TWO_FLOAT_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(_TWO_FLOAT_RUNS))
 def test_two_float_runs_equal_the_generic_kernel(monkeypatch, name):
+    # The run as it is, then with the generic stage evaluator on the
+    # model's rhs, then with the generic kernel as well.
     run = _TWO_FLOAT_RUNS[name]
     log = {}
     _recording(monkeypatch, "_dp54_floats2", log)
+    width_stages = integrators._width_stages
+    built = []
+
+    def recording_stages(*args):
+        built.append(args)
+        return width_stages(*args)
+
+    monkeypatch.setattr(integrators, "_width_stages", recording_stages)
     traj, reason = run()
-    assert log
+    assert log and built
+    monkeypatch.setattr(
+        integrators, "_width_stages",
+        lambda accel, variant, params, rhs, nfev:
+        integrators._float_stages(rhs, nfev))
+    generic_stages = run()
     monkeypatch.setattr(integrators, "_dp54_floats2",
                         integrators._dp54_floats)
-    generic, generic_reason = run()
-    assert reason is generic_reason
+    generic = run()
     assert reason is {"sigma-guard": StopReason.SIGMA_GUARD_HIT}.get(
         name, StopReason.COMPLETED)
     if name in ("rejections", "sigma-guard"):
         assert traj.n_rejected > 0
-    for key in ("times", "states", "step_sizes", "error_estimates",
-                "dense_coefficients"):
-        assert getattr(traj, key).tobytes() == getattr(generic, key).tobytes()
-    assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
-        generic.n_accepted, generic.n_rejected, generic.n_rhs)
+    for other, other_reason in (generic_stages, generic):
+        assert reason is other_reason
+        for key in ("times", "states", "step_sizes", "error_estimates",
+                    "dense_coefficients"):
+            assert getattr(traj, key).tobytes() \
+                == getattr(other, key).tobytes()
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+            other.n_accepted, other.n_rejected, other.n_rhs)

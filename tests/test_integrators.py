@@ -399,6 +399,60 @@ def test_models_get_the_stage_row_not_a_state(monkeypatch, variant, name):
     assert not any(issubclass(kind, State) for kind in kinds)
 
 
+_WIDTH_PARAMS = PhysicalParams(b=0.3, beta=2.0, r=0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma0", [1.3, 1e150])
+@pytest.mark.parametrize("variant", models.SECOND_ORDER_VARIANTS,
+                         ids=lambda variant: variant.value)
+def test_each_width_stage_calls_acceleration_once(monkeypatch, variant,
+                                                  sigma0):
+    # models.acceleration stays the one counted rhs entry of two-float
+    # runs, and gets rows.  At width 1e150 every stage overflows on
+    # Python floats and is counted again on its numpy-scalar retry.
+    real = models.acceleration
+    kinds = []
+
+    def spy(*args):
+        kinds.append(type(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(models, "acceleration", spy)
+    traj, reason = integrators.integrate(variant, State(sigma0, 0.4),
+                                         (0.0, 1.0), _WIDTH_PARAMS)
+    assert reason is StopReason.COMPLETED
+    assert len(kinds) == traj.n_rhs
+    assert not any(issubclass(kind, State) for kind in kinds)
+    assert list in kinds
+    assert (kinds.count(np.ndarray) > traj.n_accepted) == (sigma0 > 1e100)
+
+
+@pytest.mark.parametrize("variant", models.SECOND_ORDER_VARIANTS,
+                         ids=lambda variant: variant.value)
+def test_replaced_conservative_acceleration_reaches_every_stage(
+        monkeypatch, variant):
+    # integrate reads the model functions from the module at run time,
+    # never at import, so a replaced formula reaches every stage.
+    def end_state():
+        traj, _ = integrators.integrate(variant, State(1.3, 0.4),
+                                        (0.0, 2.0), _WIDTH_PARAMS)
+        return traj
+
+    before = end_state()
+    real = models.conservative_acceleration
+    calls = [0]
+
+    def skewed(sigma, params):
+        calls[0] += 1
+        return 1.01 * real(sigma, params)
+
+    monkeypatch.setattr(models, "conservative_acceleration", skewed)
+    after = end_state()
+    assert calls[0] == after.n_rhs
+    assert after.states[-1].tobytes() != before.states[-1].tobytes()
+
+
 def test_config_validation():
     with pytest.raises(TypeError):
         IntegratorConfig(scheme="dopri54")
