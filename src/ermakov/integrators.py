@@ -15,6 +15,7 @@ the self-accelerating growth mode, reporting every early exit through
 ``StopReason`` instead of raising.
 """
 
+import itertools
 import math
 import numbers
 import warnings
@@ -356,17 +357,18 @@ def _dp54_floats2(stage, y: list, f0, h: float, abs_tol: float,
         (p1, q1, p3, q3, p4, q4, p5, q5, p6, q6, p7, q7)
 
 
-def _dp54_dense(states: np.ndarray, h: np.ndarray, steps: list):
+def _dp54_dense(states: np.ndarray, h: np.ndarray, steps):
     """Interpolant coefficients of a run's accepted DP54 steps.
 
     ``states`` holds the run's nodes, ``h`` its step sizes and ``steps``
-    the stages each step's kernel returned.  Returns the (steps, 5, dim)
-    coefficients, each summed elementwise in the float kernel's order.
+    the stages each step's kernel returned, as rows or flat.  Returns the
+    (steps, 5, dim) coefficients, each summed elementwise in the float
+    kernel's order.
     """
     # Column 0 of the interpolant is k1 alone, and row 2 is zero.
     (_, p21, p31, p41), _, (_, p23, p33, p43), (_, p24, p34, p44), \
         (_, p25, p35, p45), (_, p26, p36, p46), (_, p27, p37, p47) = _DP_P
-    k = np.array(steps, dtype=float).reshape(-1, 6, states.shape[1])
+    k = np.asarray(steps, dtype=float).reshape(-1, 6, states.shape[1])
     k1, k3, k4, k5, k6, k7 = k.transpose(1, 0, 2)
     h = h[:, None]
     return np.stack((
@@ -431,11 +433,27 @@ def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
 def _newton(rhs: Callable[[np.ndarray], np.ndarray],
             solve: Callable[[np.ndarray], np.ndarray],
             target: np.ndarray, z0: np.ndarray, dh: float,
-            scale: np.ndarray, nguard: int) -> np.ndarray:
+            scale: np.ndarray, nguard: int, eta: list) -> np.ndarray:
     """Solve z - dh f(z) = target by damped Newton with a frozen matrix.
 
     ``solve(g)`` returns x with (I - dh J) x = g for the step's frozen J.
+    An iterate is accepted when its scaled update dn is below 0.03, or
+    when the contraction-rate estimate of its remaining error, eta * dn,
+    is (Hairer & Wanner, *Solving ODEs II*, IV.8).  ``eta[0]`` holds the
+    run's eta, that of its last converged solve that measured one: after
+    iteration k >= 1, eta = theta / (1 - theta) with theta =
+    dn_k / dn_(k-1), or inf once theta >= 1.  The first iteration of a
+    solve tests with max(eta[0], 2.2e-16) ** 0.8; a solve that stops
+    there measures nothing and leaves ``eta[0]`` as it was, and a solve
+    that fails leaves 1.0.  Every iterate the dn test alone would accept
+    is accepted, so no solve iterates more than on that test.  A rate
+    measured at small updates can understate the contraction of a much
+    larger first update, whose iterate then stops further than 0.03
+    from the converged solve.
     """
+    measured = eta[0]
+    eta[0] = 1.0
+    rate = max(measured, 2.2e-16) ** 0.8
     z = z0.copy()
     prev = math.inf
     for _ in range(12):
@@ -451,9 +469,14 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
             dz *= 0.5
             dn *= 0.5
         z = z - dz
-        if dn < 0.03:
+        if prev < math.inf:
+            theta = dn / prev
+            rate = measured = (theta / (1.0 - theta) if theta < 1.0
+                               else math.inf)
+        if dn < 0.03 or rate * dn < 0.03:
             if z[:nguard].min() <= 0.0:
                 raise _FloorBreach
+            eta[0] = measured
             return z
         prev = dn
     raise _BadStep
@@ -461,12 +484,15 @@ def _newton(rhs: Callable[[np.ndarray], np.ndarray],
 
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                     f0: np.ndarray, h: float, nguard: int, abs_tol: float,
-                    rel_tol: float, newton_solver):
+                    rel_tol: float, newton_solver, eta: list):
     """One TR-BDF2 step attempt.  Returns (y1, f1, err, (f0, f1)).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
     that every Newton iteration and the error filter of the step use; a
-    matrix it cannot factor is a bad step.
+    matrix it cannot factor is a bad step.  ``eta`` is the run's
+    one-element contraction-rate estimate, which both stages' ``_newton``
+    read and update.  A stage usually stops after one iteration, so an
+    attempt usually makes 4 rhs calls and 3 solves.
     """
     scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
@@ -479,7 +505,7 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     z_pred = y + _TB_GAMMA * h * f0
     if z_pred[:nguard].min() <= 0.0:
         z_pred = y.copy()
-    z = _newton(rhs, solve, target, z_pred, dh, scale, nguard)
+    z = _newton(rhs, solve, target, z_pred, dh, scale, nguard, eta)
     f_mid = rhs(z)
     # BDF2 stage to t + h, eliminating the history in favour of z.
     cz = 0.5 * (math.sqrt(2.0) + 1.0)
@@ -488,7 +514,7 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     y_pred = z + (1.0 - _TB_GAMMA) * h * f_mid
     if y_pred[:nguard].min() <= 0.0:
         y_pred = z.copy()
-    y1 = _newton(rhs, solve, target, y_pred, dh, scale, nguard)
+    y1 = _newton(rhs, solve, target, y_pred, dh, scale, nguard, eta)
     f1 = rhs(y1)
     if not np.isfinite(f1).all():
         raise _BadStep
@@ -663,7 +689,9 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     and returns the solve that every Newton iteration and the error
     filter of the attempt reuse; ``np.linalg.LinAlgError`` from either is
     a bad step.  Without one, TR-BDF2 forms I - dh J from a
-    finite-difference Jacobian at every attempt.
+    finite-difference Jacobian at every attempt.  Each TR-BDF2 run keeps
+    one Newton contraction-rate estimate, starting at 1, that the
+    attempts' ``_newton`` solves read and update.
     Returns (fields, reason): ``fields`` maps the trajectory field names
     (node arrays, dense coefficients and counters) to their values.
     """
@@ -710,7 +738,7 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             attempt = partial(_trbdf2_attempt, counted_array, nguard=nguard,
                               abs_tol=abs_tol, rel_tol=rel_tol,
                               newton_solver=newton_solver
-                              or _dense_solver(counted_array))
+                              or _dense_solver(counted_array), eta=[1.0])
 
     times = [t0]
     states = [y]
@@ -797,7 +825,16 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             break
 
     times = np.array(times)
-    states = np.array(states)
+    if floats:
+        # Flattened lists of floats convert in about half the time
+        # np.array takes on the nested lists; the arrays are equal.
+        flat = itertools.chain.from_iterable
+        dim = y0.size
+        states = np.fromiter(flat(states), float,
+                             len(states) * dim).reshape(-1, dim)
+        dense = np.fromiter(flat(dense), float, len(dense) * 6 * dim)
+    else:
+        states = np.array(states)
     spacing = np.diff(times)
     build = _dp54_dense if explicit else _hermite_dense
     fields = {

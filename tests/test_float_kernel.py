@@ -10,7 +10,8 @@ sum of the absolute terms; the tolerance is therefore fixed at
 Both kernels return their stage derivatives, and the driver builds
 the dense coefficients of a run's accepted steps once, at its end.
 On floats those must equal, bitwise, the rows the kernel formed per
-step with Python floats before; on arrays they must lie within the same
+step with Python floats before, and the node array the kernel's lists
+of floats; on arrays they must lie within the same
 ``14 eps sum|terms|`` of the rows numpy's matrix product ``k^T P``
 formed per attempt before.
 
@@ -376,7 +377,7 @@ def _recording(monkeypatch, name, log):
 
     def recording(stage, y, f0, h, abs_tol, rel_tol):
         out = kernel(stage, y, f0, h, abs_tol, rel_tol)
-        log[tuple(y), h] = name, out[3]
+        log[tuple(y), h] = name, out[3], out[0]
         return out
 
     monkeypatch.setattr(integrators, name, recording)
@@ -393,20 +394,27 @@ def test_dense_build_equals_the_per_step_rows(monkeypatch, name):
         # retries warn.
         warnings.simplefilter("ignore")
         traj, _ = run()
-    assert {kernel for kernel, _ in log.values()} == {
+    assert {kernel for kernel, _, _ in log.values()} == {
         "_dp54_floats2" if dim == 2 else "_dp54_floats"}
-    stages = {key: ks for key, (_, ks) in log.items()}
     if name == "rejections":
         assert traj.n_rejected > 0
     assert traj.dense_coefficients.shape == (traj.n_accepted, 5, dim)
     reference = []
+    nodes = [traj.states[0, :dim].tolist()]
     for i in range(traj.n_accepted):
         y = tuple(traj.states[i, :dim].tolist())
         h = float(traj.step_sizes[i + 1])
-        reference.append(_reference_rows(y, h, stages[y, h]))
+        _, stages, y1 = log[y, h]
+        reference.append(_reference_rows(y, h, stages))
+        nodes.append(y1)
     reference = np.array(reference)
     assert reference.shape == traj.dense_coefficients.shape
     assert reference.tobytes() == traj.dense_coefficients.tobytes()
+    # The nodes, flattened into one array at the run's end, are the
+    # kernel's lists of floats as np.array converts them.
+    nodes = np.array(nodes)
+    assert traj.states.dtype == nodes.dtype
+    assert traj.states[:, :dim].tobytes() == nodes.tobytes()
 
 
 _TWO_FLOAT_RUNS = {

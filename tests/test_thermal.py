@@ -649,7 +649,10 @@ def test_trbdf2_field_factors_once_per_attempt(monkeypatch, variant):
 
 
 def test_slope_form_hold_needs_few_rhs_per_step():
-    # A finite-difference Jacobian would cost 142 rhs per step here.
+    # A finite-difference Jacobian would cost 142 rhs per step here, and
+    # two Newton iterations per stage 6.  A stage that stops after one,
+    # on the run's contraction rate, makes it 4: one rhs per stage
+    # iteration and one at each stage's end.
     params = P.with_(b=80.0)
     grid = BetaGrid.from_range(0.5, 4.0, 71)
     start = thermal.equilibrium_profile_coth(grid, params)
@@ -657,7 +660,7 @@ def test_slope_form_hold_needs_few_rhs_per_step():
         ThermalVariant.BETA_DERIVATIVE, start, (0.0, 10.0), params,
         IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9, abs_tol=1e-12))
     assert reason is StopReason.COMPLETED
-    assert traj.n_rhs / traj.n_accepted <= 15.0
+    assert traj.n_rhs / traj.n_accepted <= 4.5
 
 
 def test_stationary_profile_relaxes_residual():
