@@ -14,7 +14,9 @@ slope stencil's edge entries depend on how 1 / (2 delta) is rounded,
 and as a 201-node run on that range at friction 20)
 and, without params, at zero temperature, equilibrium, a
 simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
-explicit thermal CSV, and ``verify`` of six suites) once against each
+explicit thermal CSV and of the hold's CSV, whose 71 x 201 = 14,271
+rows repeat t and beta over 14 write blocks, and ``verify`` of six
+suites) once against each
 tree, each in a fresh interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
@@ -255,6 +257,8 @@ def _commands(cfg_dir: Path):
     # "{out}" stands for the tree's output root, known only at run time.
     cmds.append(("plot-thermal", [
         "plot", "{out}/thermal-integral-explicit/thermal.csv"]))
+    cmds.append(("plot-thermal-hold", [
+        "plot", "{out}/thermal-slope-hold/thermal.csv"]))
     cmds.append(("verify", ["verify", *VERIFY_SUITES]))
     return cmds
 

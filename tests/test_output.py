@@ -8,6 +8,7 @@ references below are that per-value code, kept here as the reference.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,88 @@ def test_write_csv_bytes_across_block_sizes(tmp_path, rows):
     assert data.shape[0] == rows
     if rows:
         assert _same_cells(table, data)
+
+
+def _thermal_table(times, nodes, seed):
+    """A thermal CSV's layout: t repeated per node, beta cycled per time,
+    then two columns of distinct values."""
+    rng = np.random.default_rng(seed)
+    rows = times * nodes
+    return np.column_stack((
+        np.repeat(np.linspace(0.0, 2.0, times), nodes),
+        np.tile(np.linspace(0.5, 4.0, nodes), times),
+        rng.uniform(0.5, 2.0, rows), rng.standard_normal(rows)))
+
+
+def _nan_with_payload(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload],
+                          dtype=np.int64).view(np.float64)[0])
+
+
+_REPEATS = {
+    # 30 times x 71 nodes: 2,130 rows, three blocks of 1,024.
+    "thermal-layout": _thermal_table(30, 71, 0),
+    "signed-zeros": np.column_stack((
+        np.resize([0.0, -0.0, 0.0, 1.5], 3000),
+        np.resize([-0.0, -0.0, 0.0], 3000),
+        np.arange(3000.0))),
+    "nan-payloads": np.column_stack((
+        np.resize([_nan_with_payload(0), _nan_with_payload(1),
+                   -_nan_with_payload(7), 2.0], 2100),
+        np.resize([math.inf, -math.inf, _nan_with_payload(3)], 2100))),
+    # 1,024 distinct values in 2,048 rows, then 1,025.
+    "half-distinct": np.column_stack((
+        np.repeat(np.linspace(-1.0, 1.0, 1024) / 3.0, 2),
+        np.concatenate((np.repeat(np.arange(1023.0) / 7.0, 2),
+                        [1e300, -1e-300])))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPEATS))
+def test_write_csv_bytes_on_repeated_values(tmp_path, name):
+    table = _REPEATS[name]
+    header = _header(table.shape[1])
+    path = tmp_path / "t.csv"
+    output.write_csv(path, header, table)
+    assert path.read_bytes() == _reference_csv(header, table).encode()
+    _, data = output.read_csv(path)
+    assert _same_cells(table, data)
+
+
+def test_read_csv_accepts_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"a,b\r\n1.5,-0\r\n3,nan\r\n")
+    header, data = output.read_csv(path)
+    assert header == ["a", "b"]
+    assert _same_cells(data, np.array([[1.5, -0.0], [3.0, math.nan]]))
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n\n1,2\n\n\n3,4\n\n", encoding="ascii")
+    header, data = output.read_csv(path)
+    assert header == ["a", "b"]
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("header", ["a", "a,b,c"])
+def test_read_csv_of_a_header_alone_is_an_empty_matrix(tmp_path, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n", encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_header, data = output.read_csv(path)
+    assert got_header == header.split(",")
+    assert data.shape == (0, len(got_header)) and data.dtype == np.float64
+
+
+@pytest.mark.parametrize("body", ["1,2\n   \n3,4\n", "1_0,2\n"],
+                         ids=["whitespace-line", "underscore"])
+def test_read_csv_rejects_malformed_cells_naming_the_file(tmp_path, body):
+    path = tmp_path / "malformed.csv"
+    path.write_text("a,b\n" + body, encoding="ascii")
+    with pytest.raises(ValueError, match="malformed.csv"):
+        output.read_csv(path)
 
 
 def test_zero_row_table_writes_the_header_alone(tmp_path):
@@ -183,6 +266,8 @@ def _reference_chart(x, series, title, x_label, y_label) -> str:
     return "\n".join(parts) + "\n"
 
 
+_THERMAL = _thermal_table(40, 71, 1)
+
 _CHARTS = {
     "smooth": (np.linspace(0.0, 3.0, 301),
                [("a", np.sin(np.linspace(0.0, 3.0, 301))),
@@ -210,6 +295,13 @@ _CHARTS = {
     "many-series": (np.linspace(0.0, 1.0, 40),
                     [(f"s{k}", np.linspace(0.0, 1.0, 40) ** k)
                      for k in range(9)]),
+    # A thermal CSV's chart: each t repeated for 71 nodes, a series of 71
+    # distinct values, and runs of over 1,024 points broken by a NaN.
+    "thermal-shaped": (_THERMAL[:, 0],
+                       [("beta", _THERMAL[:, 1]),
+                        ("sigma", np.where(np.arange(2840) == 1500, math.nan,
+                                           _THERMAL[:, 2])),
+                        ("rate", _THERMAL[:, 3])]),
 }
 
 
