@@ -146,13 +146,12 @@ def _rms(scaled: np.ndarray) -> float:
 
 
 def _dense_sample(times: np.ndarray, states: np.ndarray,
-                  coeffs: np.ndarray, ts) -> tuple:
+                  coeffs: np.ndarray, ts) -> np.ndarray:
     """Evaluate a run's dense output at the requested times, one row each.
 
     A time equal to a node returns that node's state exactly; any other
     time evaluates its step's (5, dim) local polynomial by Horner's rule
-    into the leading dim columns.  Returns (rows, between), where
-    ``between`` flags the rows that were interpolated.
+    into the leading dim columns.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lo, hi = times[0], times[-1]
@@ -170,7 +169,7 @@ def _dense_sample(times: np.ndarray, states: np.ndarray,
     for k in (3, 2, 1, 0):
         poly = poly * x + c[:, k]
     out[between, :poly.shape[1]] = poly
-    return out, between
+    return out
 
 
 def _scaled_norm(err_vec: np.ndarray, y: np.ndarray, y1: np.ndarray,
@@ -273,17 +272,19 @@ def _width_stages(accel, variant: ModelVariant, params: PhysicalParams,
     return stage
 
 
-def _dp54_floats(stage, y: list, f0, h: float, abs_tol: float,
-                 rel_tol: float):
+def _dp54_floats(stage, abs_tol: float, rel_tol: float, y: list, f0,
+                 h: float):
     """One explicit step attempt on a state of a few Python floats.
 
     The arithmetic of ``_dp54_attempt`` with every stage sum written out
     term by term in tableau order, so results differ from it by ulps
     (numpy's small matmul sums in its own order).  ``stage`` comes from
     ``_float_stages``; it takes a list of floats and returns a sequence
-    of floats.  Returns (y1, f1, err, stages): ``err`` is the scaled
-    error norm and ``stages`` the flat tuple k1, k3, k4, k5, k6, k7 of
-    6 dim floats that ``_dp54_dense`` turns into the step's interpolant.
+    of floats.  The run's arguments come first, for a positional
+    ``partial`` (keywords copy a dict per call).  Returns (y1, f1, err,
+    stages): ``err`` is the scaled error norm and ``stages`` the flat
+    tuple k1, k3, k4, k5, k6, k7 of 6 dim floats that ``_dp54_dense``
+    turns into the step's interpolant.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
@@ -312,8 +313,8 @@ def _dp54_floats(stage, y: list, f0, h: float, abs_tol: float,
     return y1, k7, math.sqrt(total / len(y)), (*k1, *k3, *k4, *k5, *k6, *k7)
 
 
-def _dp54_floats2(stage, y: list, f0, h: float, abs_tol: float,
-                  rel_tol: float):
+def _dp54_floats2(stage, abs_tol: float, rel_tol: float, y: list, f0,
+                  h: float):
     """``_dp54_floats`` written out for a state of two floats (s, v).
 
     The same expressions in the same term order, so it is bitwise equal
@@ -420,11 +421,8 @@ def _dense_solver(rhs: Callable[[np.ndarray], np.ndarray]):
 
 def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
                   g: np.ndarray) -> np.ndarray:
-    """Apply a Newton solver; a singular or non-finite solve is a bad step."""
-    try:
-        x = solve(g)
-    except np.linalg.LinAlgError as exc:
-        raise _BadStep from exc
+    """Apply a Newton solver; a non-finite solve is a bad step."""
+    x = solve(g)
     if not np.isfinite(x).all():
         raise _BadStep
     return x
@@ -488,18 +486,15 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     """One TR-BDF2 step attempt.  Returns (y1, f1, err, (f0, f1)).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
-    that every Newton iteration and the error filter of the step use; a
-    matrix it cannot factor is a bad step.  ``eta`` is the run's
-    one-element contraction-rate estimate, which both stages' ``_newton``
-    read and update.  A stage usually stops after one iteration, so an
-    attempt usually makes 4 rhs calls and 3 solves.
+    that every Newton iteration and the error filter of the step use.
+    ``eta`` is the run's one-element contraction-rate estimate, which
+    both stages' ``_newton`` read and update.  A stage usually stops
+    after one iteration, so an attempt usually makes 4 rhs calls and 3
+    solves.
     """
     scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
-    try:
-        solve = newton_solver(y, f0, dh)
-    except np.linalg.LinAlgError as exc:
-        raise _BadStep from exc
+    solve = newton_solver(y, f0, dh)
     # Trapezoidal stage to t + gamma h.
     target = y + dh * f0
     z_pred = y + _TB_GAMMA * h * f0
@@ -555,6 +550,14 @@ def _initial_step(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     return max(h, config.h_min)
 
 
+def _overdamped_rates(sigmas: np.ndarray, params: PhysicalParams,
+                      variant: ModelVariant) -> np.ndarray:
+    """The model velocity at each width, as a numpy scalar: inf where it
+    overflows, and the same bits for a width wherever it is asked."""
+    return np.array([models.overdamped_velocity(s, params, variant)
+                     for s in sigmas])
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Accepted nodes plus a piecewise-polynomial interpolant.
@@ -601,12 +604,11 @@ class Trajectory:
     def sample(self, times) -> np.ndarray:
         """Interpolated states at the requested times, one row each;
         first-order rates come from the model, inf where it overflows."""
-        out, between = _dense_sample(self.times, self.states,
-                                     self.dense_coefficients, times)
+        out = _dense_sample(self.times, self.states,
+                            self.dense_coefficients, times)
         if self.first_order:
-            for row in np.flatnonzero(between):
-                out[row, 1] = models.overdamped_velocity(
-                    out[row, 0], self.params, self.variant)
+            out[:, 1] = _overdamped_rates(out[:, 0], self.params,
+                                          self.variant)
         return out
 
     def state_at(self, t: float):
@@ -661,8 +663,7 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
 
 @np.errstate(all="ignore")
 def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
-           runaway_scale: Optional[float] = None,
-           runaway_window: Optional[float] = None, nguard: int = 1,
+           runaway: Optional[tuple] = None, nguard: int = 1,
            newton_solver=None, width_rate: Optional[tuple] = None):
     """Shared adaptive loop.
 
@@ -687,11 +688,14 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     ``newton_solver(y, f0, dh)`` serves the implicit scheme: called once
     per step attempt, it factors I - dh J(y), J the Jacobian of ``rhs``,
     and returns the solve that every Newton iteration and the error
-    filter of the attempt reuse; ``np.linalg.LinAlgError`` from either is
-    a bad step.  Without one, TR-BDF2 forms I - dh J from a
-    finite-difference Jacobian at every attempt.  Each TR-BDF2 run keeps
-    one Newton contraction-rate estimate, starting at 1, that the
+    filter of the attempt reuse.  Without one, TR-BDF2 forms I - dh J
+    from a finite-difference Jacobian at every attempt.  Each TR-BDF2 run
+    keeps one Newton contraction-rate estimate, starting at 1, that the
     attempts' ``_newton`` solves read and update.
+    ``np.linalg.LinAlgError`` anywhere in a step attempt is a bad step.
+    ``runaway=(scale, window)`` sets a third-order run's two triggers on
+    |y[2]| (see ``IntegratorConfig``); the window's base is the last node
+    at or before t - window, floored at 1e-3 scale.
     Returns (fields, reason): ``fields`` maps the trajectory field names
     (node arrays, dense coefficients and counters) to their values.
     """
@@ -724,10 +728,8 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             stage = _float_stages(rhs, nfev)
         else:
             stage = _width_stages(*width_rate, rhs, nfev)
-        kernel = _dp54_floats2 if y0.size == 2 else _dp54_floats
-
-        def attempt(y, f0, h):
-            return kernel(stage, y, f0, h, abs_tol, rel_tol)
+        attempt = partial(_dp54_floats2 if y0.size == 2 else _dp54_floats,
+                          stage, abs_tol, rel_tol)
     else:
         y = y0.copy()
         lowest = np.min
@@ -745,10 +747,10 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     errs = [0.0]
     # Per accepted step: what its attempt returned for its interpolant.
     dense = []
-    monitor: list = []
-    if runaway_scale is not None:
-        monitor.append((t0, abs(float(y0[2]))))
+    if runaway is not None:
+        runaway_scale, runaway_window = runaway
         floor = 1e-3 * runaway_scale
+        lo = 0  # the window's base node
 
     t = t0
     err_prev = 1.0
@@ -774,7 +776,7 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             y1, f1, err, step_dense = attempt(y, f0, h_att)
         except _FloorBreach:
             failure, err = StopReason.SIGMA_GUARD_HIT, None
-        except _BadStep:
+        except (_BadStep, np.linalg.LinAlgError):
             err = None
         else:
             if err <= 1.0 and lowest(y1[:nguard]) <= sigma_min_guard:
@@ -806,16 +808,15 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         just_rejected = False
         err_prev = err if err > 1e-10 else 1e-10
 
-        if runaway_scale is not None:
+        if runaway is not None:
             a_abs = abs(float(y[2]))
             if a_abs >= config.runaway_ratio * runaway_scale:
                 reason = StopReason.RUNAWAY_DETECTED
                 break
-            monitor.append((t, a_abs))
-            while len(monitor) >= 2 and monitor[1][0] <= t - runaway_window:
-                monitor.pop(0)
-            if monitor[0][0] <= t - runaway_window:
-                base = max(monitor[0][1], floor)
+            while lo < n_accept and times[lo + 1] <= t - runaway_window:
+                lo += 1
+            if times[lo] <= t - runaway_window:
+                base = max(abs(float(states[lo][2])), floor)
                 if a_abs >= config.runaway_ratio * base:
                     reason = StopReason.RUNAWAY_DETECTED
                     break
@@ -895,8 +896,9 @@ def integrate(variant: ModelVariant, initial, t_span,
 
     if not isinstance(initial, State):
         raise ValueError(f"initial must be a State, got {initial!r}")
-    third_order = variant is ModelVariant.RADIATIVE_NAIVE
-    if third_order:
+    # The model is looked up once per run and takes the stage row as it
+    # is: a list of floats, or a numpy array on the array paths.
+    if variant is ModelVariant.RADIATIVE_NAIVE:
         if params.r <= 0.0:
             raise ValueError("the third-order variant requires r > 0")
         if isinstance(initial, State3):
@@ -906,12 +908,31 @@ def integrate(variant: ModelVariant, initial, t_span,
             y0 = _real_row((initial.sigma, initial.sigma_dot, 0.0),
                            "initial")
             y0[2] = models.conservative_acceleration(y0[0], params)
+        jerk = models.radiative_jerk
+
+        def rhs(y) -> tuple:
+            return y[1], y[2], jerk(y, params)
+
+        # numpy scalars: an overflow gives inf instead of raising
+        sigma0, accel0 = y0[0], y0[2]
+        base_scale = (params.omega0 ** 2 * sigma0
+                      + params.hbar ** 2
+                      / (4.0 * params.m ** 2 * sigma0 ** 3))
+        runaway = (float(max(abs(accel0), base_scale)), params.r / params.m)
+        width_rate = None
     else:
         if isinstance(initial, State3):
             raise ValueError("second-order variants take a two-component "
                              "state; the extra acceleration entry has no "
                              "meaning here")
         y0 = _real_row((initial.sigma, initial.sigma_dot), "initial")
+        accel = models.acceleration
+
+        def rhs(y) -> tuple:
+            return y[1], accel(variant, y, params)
+
+        runaway = None
+        width_rate = (accel, variant, params)
     if variant is ModelVariant.HIGH_TEMPERATURE and params.is_zero_temperature:
         raise ValueError("the high-temperature variant needs finite beta")
     if y0[0] <= config.sigma_min_guard:
@@ -926,34 +947,8 @@ def integrate(variant: ModelVariant, initial, t_span,
             "will crawl through the transient, consider Scheme.TRBDF2",
             RuntimeWarning, stacklevel=2)
 
-    # The model is looked up once per run and takes the stage row as it
-    # is: a list of floats, or a numpy array on the array paths.
-    if third_order:
-        jerk = models.radiative_jerk
-
-        def rhs(y) -> tuple:
-            return y[1], y[2], jerk(y, params)
-
-        # numpy scalars: an overflow gives inf instead of raising
-        sigma0, accel0 = y0[0], y0[2]
-        base_scale = (params.omega0 ** 2 * sigma0
-                      + params.hbar ** 2
-                      / (4.0 * params.m ** 2 * sigma0 ** 3))
-        runaway_scale = float(max(abs(accel0), base_scale))
-        runaway_window = params.r / params.m
-        width_rate = None
-    else:
-        accel = models.acceleration
-
-        def rhs(y) -> tuple:
-            return y[1], accel(variant, y, params)
-
-        runaway_scale = None
-        runaway_window = None
-        width_rate = (accel, variant, params)
-
-    fields, reason = _drive(rhs, y0, (t0, t1), config, runaway_scale,
-                            runaway_window, width_rate=width_rate)
+    fields, reason = _drive(rhs, y0, (t0, t1), config, runaway,
+                            width_rate=width_rate)
     return Trajectory(variant=variant, params=params, **fields), reason
 
 
@@ -985,9 +980,7 @@ def integrate_overdamped(variant: ModelVariant, sigma0: float, t_span,
         return models.overdamped_velocity(y[0], params, variant),
 
     fields, reason = _drive(rhs, y0, (t0, t1), config)
-    # numpy scalars: an overflow gives inf instead of raising
     sigmas = fields["states"][:, 0]
-    vel = np.array([models.overdamped_velocity(s, params, variant)
-                    for s in sigmas])
-    fields["states"] = np.column_stack([sigmas, vel])
+    fields["states"] = np.column_stack(
+        [sigmas, _overdamped_rates(sigmas, params, variant)])
     return Trajectory(variant=variant, params=params, **fields), reason

@@ -494,7 +494,7 @@ class ThermalTrajectory:
     def sample(self, times) -> np.ndarray:
         """Interpolated stacked fields (width block then rate block)."""
         return _dense_sample(self.times, self.states,
-                             self.dense_coefficients, times)[0]
+                             self.dense_coefficients, times)
 
     def field_at(self, t: float) -> ThermalField:
         row = self.sample(t)[0]

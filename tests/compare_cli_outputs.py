@@ -1,7 +1,9 @@
 """Check that two source trees write byte-identical CLI output files.
 
 Runs a fixed config set (simulate for all seven width models, one of
-them with an SVG chart, the dissipative model at friction 20 and the
+them with an SVG chart, the naive radiative model at ``runaway_ratio``
+50 on both schemes, which stops on the sliding-window runaway trigger
+rather than the ratio one, the dissipative model at friction 20 and the
 overdamped dissipative model on TR-BDF2, a conservative run stopped by
 ``max_steps``, a conservative run with rejected steps, one at width
 1e150 whose every rhs call overflows on Python floats and is retried on
@@ -16,8 +18,8 @@ and, without params, at zero temperature, equilibrium, a
 simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
 explicit thermal CSV and of the hold's CSV, whose 71 x 201 = 14,271
 rows repeat t and beta over 14 write blocks, and ``verify`` of six
-suites) once against each
-tree, each in a fresh interpreter, and compares every CSV, SVG,
+suites; 28 runs in all) once against each tree, each in a fresh
+interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
 absolute and relative cell difference, for an SVG how many lines differ.
@@ -94,6 +96,23 @@ CONFIGS = {
         "initial": {"sigma": 1.0, "sigma_dot": 0.1},
         "t_span": [0.0, 2.0],
         "samples": 101,
+    }),
+    # The same run stopped by the sliding-window trigger, on both schemes.
+    "radiative-naive-window": ("simulate", {
+        "model": "radiative-naive",
+        "params": {"natural": {"radiation": 0.01}},
+        "initial": {"sigma": 1.0, "sigma_dot": 0.1},
+        "t_span": [0.0, 2.0],
+        "samples": 101,
+        "integrator": {"runaway_ratio": 50},
+    }),
+    "radiative-naive-window-implicit": ("simulate", {
+        "model": "radiative-naive",
+        "params": {"natural": {"radiation": 0.01}},
+        "initial": {"sigma": 1.0, "sigma_dot": 0.1},
+        "t_span": [0.0, 2.0],
+        "samples": 101,
+        "integrator": {"scheme": "implicit-a-stable", "runaway_ratio": 50},
     }),
     # The width models on TR-BDF2: strong friction, and the first-order
     # model.

@@ -50,8 +50,8 @@ def _float_attempt(y, f0, stages, h):
     (y1, f1, err, dense_coeffs)."""
     stage = integrators._float_stages(_replay([tuple(k) for k in stages]),
                                       [0])
-    y1, f1, err, ks = integrators._dp54_floats(stage, list(y), list(f0), h,
-                                               _ABS_TOL, _REL_TOL)
+    y1, f1, err, ks = integrators._dp54_floats(stage, _ABS_TOL, _REL_TOL,
+                                               list(y), list(f0), h)
     c = integrators._dp54_dense(np.array([y, y1]), np.array([h]), [ks])
     return y1, f1, err, c[0]
 
@@ -80,7 +80,7 @@ def _float_kernel_outcome(kernel, y, k, h, call, raises):
     stage = integrators._float_stages(
         _flaky_replay([tuple(row) for row in k[1:]], call, raises), nfev)
     try:
-        out = kernel(stage, list(y), list(k[0]), h, _ABS_TOL, _REL_TOL)
+        out = kernel(stage, _ABS_TOL, _REL_TOL, list(y), list(k[0]), h)
     except (integrators._FloorBreach, integrators._BadStep) as exc:
         return type(exc), nfev[0]
     return out, nfev[0]
@@ -375,8 +375,8 @@ def _recording(monkeypatch, name, log):
     (y, h), and the kernel's name with them."""
     kernel = getattr(integrators, name)
 
-    def recording(stage, y, f0, h, abs_tol, rel_tol):
-        out = kernel(stage, y, f0, h, abs_tol, rel_tol)
+    def recording(stage, abs_tol, rel_tol, y, f0, h):
+        out = kernel(stage, abs_tol, rel_tol, y, f0, h)
         log[tuple(y), h] = name, out[3], out[0]
         return out
 

@@ -205,6 +205,54 @@ def test_third_order_on_shell_short_run_completes():
     assert reason is StopReason.RUNAWAY_DETECTED
 
 
+def _runaway_triggers(traj, params, ratio):
+    """Per accepted node, whether the ratio and the window triggers hold,
+    recomputed from the nodes with ``integrate``'s scale and floor."""
+    sigma0, accel0 = traj.states[0, 0], traj.states[0, 2]
+    scale = max(abs(accel0), params.omega0 ** 2 * sigma0 + params.hbar ** 2
+                / (4.0 * params.m ** 2 * sigma0 ** 3))
+    window = params.r / params.m
+    accel = np.abs(traj.states[:, 2])
+    by_ratio, by_window = [], []
+    for i in range(1, traj.times.size):
+        by_ratio.append(accel[i] >= ratio * scale)
+        edge = traj.times[i] - window
+        base = np.flatnonzero(traj.times[:i + 1] <= edge)
+        by_window.append(base.size > 0 and accel[i] >= ratio * max(
+            accel[base[-1]], 1e-3 * scale))
+    return by_ratio, by_window
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("ratio, trigger", [
+    (1.5, "window"), (5.0, "window"), (50.0, "window"), (1e6, "ratio")])
+def test_runaway_stops_on_the_first_node_where_a_trigger_holds(
+        scheme, ratio, trigger):
+    # The window's base is the last node at or before t - r/m; a base
+    # read one node off moves the stop or the trigger that fires.
+    params = core.make_natural_params(epsilon=0.01)
+    traj, reason = integrators.integrate(
+        ModelVariant.RADIATIVE_NAIVE, State(1.0, 0.1), (0.0, 3.0), params,
+        IntegratorConfig(scheme=scheme, runaway_ratio=ratio))
+    assert reason is StopReason.RUNAWAY_DETECTED
+    by_ratio, by_window = _runaway_triggers(traj, params, ratio)
+    fired = [r or w for r, w in zip(by_ratio, by_window)]
+    assert fired.index(True) == len(fired) - 1
+    assert by_ratio[-1] == (trigger == "ratio")
+    assert by_window[-1] == (trigger == "window")
+
+
+def test_runaway_window_below_the_float_spacing_is_the_last_node():
+    # Once t - r/m rounds to t, the window's base is the node just
+    # accepted, so the window trigger cannot hold and the run goes on.
+    params = PhysicalParams(r=1e-20)
+    traj, reason = integrators.integrate(
+        ModelVariant.RADIATIVE_NAIVE, State(1.0, 0.1), (0.0, 1.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, max_steps=300))
+    assert reason is StopReason.MAX_STEPS
+    assert traj.times[-1] - params.r / params.m == traj.times[-1]
+
+
 def test_implicit_scheme_matches_explicit():
     params = PhysicalParams(b=0.5)
     span = (0.0, 5.0)
@@ -385,9 +433,24 @@ def _nan_inverse_solver(y, f0, dh):
     return lambda g: minv @ g
 
 
+def _late_failing_solver(y, f0, dh):
+    # Two solves succeed, then every later solve of the attempt raises:
+    # the failure reaches the later Newton iterations and the error filter.
+    mat = np.eye(2) - dh * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    calls = []
+
+    def solve(g):
+        calls.append(None)
+        if len(calls) > 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.linalg.solve(mat, g)
+    return solve
+
+
 @pytest.mark.parametrize("newton_solver",
                          [_singular_solver, _nan_solver, _inf_solver,
-                          _unfactorable_solver, _nan_inverse_solver])
+                          _unfactorable_solver, _nan_inverse_solver,
+                          _late_failing_solver])
 def test_failed_newton_solves_end_in_step_underflow(newton_solver):
     # A singular or non-finite solve, or a matrix the solver cannot
     # factor, is a bad step: halve, then stop at the step floor, never
