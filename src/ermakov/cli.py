@@ -134,15 +134,11 @@ def _parse_params(obj: Optional[dict], where: str = "params"
     if "natural" in obj:
         _check_keys(obj, ("natural",), where)
         nat = _mapping(obj["natural"], f"{where}.natural")
-        _check_keys(nat, ("friction", "temperature", "radiation"),
-                    f"{where}.natural")
-        return core.make_natural_params(
-            gamma=_number(nat.get("friction", 0.0),
-                          f"{where}.natural.friction"),
-            theta=_number(nat.get("temperature", 0.0),
-                          f"{where}.natural.temperature"),
-            epsilon=_number(nat.get("radiation", 0.0),
-                            f"{where}.natural.radiation"))
+        keys = ("friction", "temperature", "radiation")
+        _check_keys(nat, keys, f"{where}.natural")
+        return core.make_natural_params(*(
+            _number(nat.get(key, 0.0), f"{where}.natural.{key}")
+            for key in keys))
     _check_keys(obj, ("m", "omega0", "hbar", "b", "beta", "k_B", "r"), where)
     kwargs = {}
     for key, value in obj.items():
@@ -252,34 +248,36 @@ def _parse_simulate(cfg: dict) -> dict:
     return parsed
 
 
+def _positive(values, where: str):
+    """``values``, a number or an array, if all are positive and finite."""
+    if not np.all((values > 0.0) & (values < math.inf)):
+        raise ConfigError(f"{where} must be positive and finite")
+    return values
+
+
+# profile kind -> the key that sets its widths; coth has none.
+_PROFILE_KEYS = {"coth": None, "scaled-coth": "factor", "constant": "value",
+                 "file": "path"}
+
+
 def _parse_profile(obj: Optional[dict]) -> dict:
     if obj is None:
         return {"kind": "coth"}
     _mapping(obj, "profile")
     kind = _need(obj, "kind", "profile")
-    if kind == "coth":
-        _check_keys(obj, ("kind",), "profile")
-        return {"kind": "coth"}
-    if kind == "scaled-coth":
-        _check_keys(obj, ("kind", "factor"), "profile")
-        factor = _number(_need(obj, "factor", "profile"), "profile.factor")
-        if not factor > 0.0:
-            raise ConfigError("profile.factor must be positive")
-        return {"kind": "scaled-coth", "factor": factor}
-    if kind == "constant":
-        _check_keys(obj, ("kind", "value"), "profile")
-        value = _number(_need(obj, "value", "profile"), "profile.value")
-        if not value > 0.0:
-            raise ConfigError("profile.value must be positive")
-        return {"kind": "constant", "value": value}
-    if kind == "file":
-        _check_keys(obj, ("kind", "path"), "profile")
-        path = _need(obj, "path", "profile")
-        if not isinstance(path, str):
-            raise ConfigError("profile.path must be a string")
-        return {"kind": "file", "path": path}
-    raise ConfigError("profile.kind must be one of coth, scaled-coth, "
-                      "constant, file")
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+        raise ConfigError("profile.kind must be one of "
+                          + ", ".join(_PROFILE_KEYS))
+    key = _PROFILE_KEYS[kind]
+    _check_keys(obj, ("kind", key), "profile")
+    if key is None:
+        return {"kind": kind}
+    value = _need(obj, key, "profile")
+    if kind != "file":
+        value = _positive(_number(value, f"profile.{key}"), f"profile.{key}")
+    elif not isinstance(value, str):
+        raise ConfigError("profile.path must be a string")
+    return {"kind": kind, key: value}
 
 
 def _parse_thermal(cfg: dict) -> dict:
@@ -329,30 +327,27 @@ _EQUILIBRIUM_HEADER = ("sigma_ground", "sigma_coth",
                        "sigma_high_temperature")
 
 
-def _sample_times(t0: float, traj, samples: int) -> np.ndarray:
-    """Output times over the span a run covered.
+def _sampled(parsed: dict, traj) -> Tuple[np.ndarray, np.ndarray]:
+    """Output times over the span a run covered, and its states there.
 
     A run that stopped on its first attempt covers its start node alone,
     which is written once.
     """
-    t_last = float(traj.times[-1])
-    return np.linspace(t0, t_last, samples if t_last > t0 else 1)
+    t0, t_last = parsed["t_span"][0], float(traj.times[-1])
+    ts = np.linspace(t0, t_last, parsed["samples"] if t_last > t0 else 1)
+    return ts, traj.sample(ts)
 
 
 def _run_trajectory(parsed: dict):
     """Integrate one width model; returns (table, trajectory, reason),
     the table's rows (t, sigma, sigma_dot, energy)."""
-    t0, t1 = parsed["t_span"]
-    if parsed["variant"] in OVERDAMPED_VARIANTS:
-        traj, reason = integrators.integrate_overdamped(
-            parsed["variant"], parsed["initial"], (t0, t1),
-            parsed["params"], parsed["integrator"])
-    else:
-        traj, reason = integrators.integrate(
-            parsed["variant"], parsed["initial"], (t0, t1),
-            parsed["params"], parsed["integrator"])
-    ts = _sample_times(t0, traj, parsed["samples"])
-    got = traj.sample(ts)
+    integrate = (integrators.integrate_overdamped
+                 if parsed["variant"] in OVERDAMPED_VARIANTS
+                 else integrators.integrate)
+    traj, reason = integrate(parsed["variant"], parsed["initial"],
+                             parsed["t_span"], parsed["params"],
+                             parsed["integrator"])
+    ts, got = _sampled(parsed, traj)
     energy = core.energy(got, parsed["params"])
     return np.column_stack((ts, got[:, 0], got[:, 1], energy)), traj, reason
 
@@ -382,9 +377,7 @@ def _initial_profile(parsed: dict) -> np.ndarray:
         raise ConfigError(
             f"profile.path holds {values.size} widths, grid has "
             f"{grid.count} nodes")
-    if not np.all(values > 0.0):
-        raise ConfigError("profile.path widths must be positive")
-    return values
+    return _positive(values, "profile.path widths")
 
 
 def _run_thermal(parsed: dict):
@@ -392,12 +385,10 @@ def _run_thermal(parsed: dict):
     the table's rows (t, beta, sigma, sigma_dot), time-major."""
     grid = parsed["grid"]
     field0 = ThermalField.at_rest(grid, _initial_profile(parsed))
-    t0, t1 = parsed["t_span"]
     traj, reason = thermal.integrate_thermal(
-        parsed["variant"], field0, (t0, t1), parsed["params"],
+        parsed["variant"], field0, parsed["t_span"], parsed["params"],
         parsed["integrator"])
-    ts = _sample_times(t0, traj, parsed["samples"])
-    got = traj.sample(ts)
+    ts, got = _sampled(parsed, traj)
     n = grid.count
     table = np.column_stack((np.repeat(ts, n), np.tile(grid.nodes, ts.size),
                              got[:, :n].ravel(), got[:, n:].ravel()))
@@ -657,6 +648,10 @@ def _build_parser() -> argparse.ArgumentParser:
     withcfg = argparse.ArgumentParser(add_help=False)
     withcfg.add_argument("--config", required=True, metavar="PATH",
                          help="JSON run configuration")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                      help="accepted for compatibility; everything runs "
+                           "serially (default: 1)")
 
     parser = _Parser(prog="ermakov",
                      description="Width-equation laboratory for the "
@@ -673,25 +668,19 @@ def _build_parser() -> argparse.ArgumentParser:
                             "temperature grid")
     p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("sweep", parents=[withcfg, common],
+    p = sub.add_parser("sweep", parents=[withcfg, common, jobs],
                        help="repeat a task over one or two parameter grids")
-    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                   help="accepted for compatibility; points run "
-                        "serially (default: 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("equilibrium", parents=[withcfg, common],
                        help="print closed-form equilibrium widths")
     p.set_defaults(handler=_cmd_equilibrium)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, jobs],
                        help="run self-check suites and write a JSON report")
     p.add_argument("suites", nargs="*", metavar="SUITE",
                    help="suite names (default: all); see "
                         + ", ".join(verification.suite_names()))
-    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                   help="accepted for compatibility; suites run "
-                        "serially (default: 1)")
     p.add_argument("--rel-tol", type=float, default=None, metavar="TOL",
                    help="override the relative tolerance of every "
                         "integration the checks perform")

@@ -158,6 +158,15 @@ def _max_rel(err_num: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(err_num - ref) / np.abs(ref)))
 
 
+def _variance_gap(traj, ts: np.ndarray, closed_form,
+                  params: PhysicalParams) -> float:
+    """Worst relative gap between the run's squared widths at ``ts`` and
+    those of ``closed_form(t, params)``."""
+    got = traj.sample(ts)
+    ref = np.array([closed_form(t, params).sigma for t in ts])
+    return _max_rel(got[:, 0] ** 2, ref ** 2)
+
+
 # ---------------------------------------------------------------- suites
 
 def _suite_free_particle(rel_tol: Optional[float]) -> List[CheckResult]:
@@ -289,11 +298,8 @@ def _suite_overdamped(rel_tol: Optional[float]) -> List[CheckResult]:
         traj = _finished(integrators.integrate_overdamped(
             ModelVariant.OVERDAMPED_DISSIPATIVE, seed.sigma, (0.05, 3.0),
             params, cfg))
-        ts = np.linspace(0.05, 3.0, 200)
-        got = traj.sample(ts)
-        ref = np.array([analytic.overdamped_relaxation(t, params).sigma
-                        for t in ts])
-        return _max_rel(got[:, 0] ** 2, ref ** 2), \
+        return _variance_gap(traj, np.linspace(0.05, 3.0, 200),
+                             analytic.overdamped_relaxation, params), \
             "first-order run vs closed form"
 
     def equilibrium_approach():
@@ -311,10 +317,8 @@ def _suite_overdamped(rel_tol: Optional[float]) -> List[CheckResult]:
         traj = _finished(integrators.integrate_overdamped(
             ModelVariant.OVERDAMPED_DISSIPATIVE, seed.sigma, (0.1, 10.0),
             params, cfg))
-        ts = np.linspace(0.1, 10.0, 200)
-        got = traj.sample(ts)
-        ref = np.array([analytic.subdiffusion(t, params).sigma for t in ts])
-        return _max_rel(got[:, 0] ** 2, ref ** 2), \
+        return _variance_gap(traj, np.linspace(0.1, 10.0, 200),
+                             analytic.subdiffusion, params), \
             "trap-free strong friction growth"
 
     def limit_consistency():
@@ -332,11 +336,8 @@ def _suite_overdamped(rel_tol: Optional[float]) -> List[CheckResult]:
             ModelVariant.DISSIPATIVE, State(seed.sigma, seed.sigma_dot),
             (0.05, 3.0), params,
             _config(rel_tol, 1e-8, 1e-11, scheme=Scheme.TRBDF2)))
-        ts = np.linspace(0.05, 3.0, 100)
-        got = traj.sample(ts)
-        ref = np.array([analytic.overdamped_relaxation(t, params).sigma
-                        for t in ts])
-        return _max_rel(got[:, 0] ** 2, ref ** 2), \
+        return _variance_gap(traj, np.linspace(0.05, 3.0, 100),
+                             analytic.overdamped_relaxation, params), \
             ("regression bound: the full model rides a slow manifold "
              "offset from the first-order closed form near the start")
 
@@ -366,10 +367,9 @@ def _stationary_defect(variant: ThermalVariant, count: int,
 def _suite_thermal_equilibrium(rel_tol: Optional[float]) -> List[CheckResult]:
     params = core.make_natural_params(0.0, 1.0, 0.0)
 
-    def slope_form_stationary():
-        meas, _ = _stationary_defect(ThermalVariant.BETA_DERIVATIVE, 71,
-                                     params)
-        return meas, "regression bound, 71 nodes on [0.5, 4]"
+    def stationary(variant: ThermalVariant):
+        return lambda: (_stationary_defect(variant, 71, params)[0],
+                        "regression bound, 71 nodes on [0.5, 4]")
 
     def slope_form_order():
         defects, deltas = zip(*(_stationary_defect(
@@ -377,11 +377,6 @@ def _suite_thermal_equilibrium(rel_tol: Optional[float]) -> List[CheckResult]:
             for n in (36, 71, 141)))
         slope = float(np.polyfit(np.log(deltas), np.log(defects), 1)[0])
         return slope, "defects " + ", ".join(f"{d:.3e}" for d in defects)
-
-    def integral_form_stationary():
-        meas, _ = _stationary_defect(ThermalVariant.INTEGRAL_FORM, 71,
-                                     params)
-        return meas, "regression bound, 71 nodes on [0.5, 4]"
 
     def dynamic_hold(variant: ThermalVariant, hold_params: PhysicalParams,
                      note: str, **cfg_kwargs):
@@ -444,10 +439,10 @@ def _suite_thermal_equilibrium(rel_tol: Optional[float]) -> List[CheckResult]:
 
     return [
         _run_check("slope-form-stationary", _SLOPE_FORM_BOUND,
-                   slope_form_stationary),
+                   stationary(ThermalVariant.BETA_DERIVATIVE)),
         _run_check("slope-form-order", _SECOND_ORDER_BAND, slope_form_order),
         _run_check("integral-form-stationary", _INTEGRAL_FORM_BOUND,
-                   integral_form_stationary),
+                   stationary(ThermalVariant.INTEGRAL_FORM)),
         _run_check("dynamic-hold-slope-form", 5.0 * _SLOPE_FORM_BOUND,
                    dynamic_hold_slope),
         _run_check("dynamic-hold-integral-form", 5.0 * _INTEGRAL_FORM_BOUND,
@@ -620,12 +615,16 @@ def _suite_madelung(rel_tol: Optional[float]) -> List[CheckResult]:
     damped = core.make_natural_params(0.7, 0.0, 0.0)
     rng = np.random.default_rng(77)
 
+    def snapshot():
+        """A packet of random width and width rate, drawn in that order."""
+        return madelung.GaussianSnapshot(
+            sigma=float(rng.uniform(0.5, 3.0)),
+            sigma_dot=float(rng.uniform(-2.0, 2.0)))
+
     def continuity():
         worst = 0.0
         for _ in range(30):
-            snap = madelung.GaussianSnapshot(
-                sigma=float(rng.uniform(0.5, 3.0)),
-                sigma_dot=float(rng.uniform(-2.0, 2.0)))
+            snap = snapshot()
             xs = madelung.SpatialGrid(sigma=snap.sigma).nodes
             res = madelung.continuity_residual(xs, snap)
             worst = max(worst, float(np.max(np.abs(res))))
@@ -636,9 +635,7 @@ def _suite_madelung(rel_tol: Optional[float]) -> List[CheckResult]:
         for variant, p in ((ModelVariant.CONSERVATIVE, params),
                            (ModelVariant.DISSIPATIVE, damped)):
             for _ in range(15):
-                snap = madelung.GaussianSnapshot(
-                    sigma=float(rng.uniform(0.5, 3.0)),
-                    sigma_dot=float(rng.uniform(-2.0, 2.0)))
+                snap = snapshot()
                 xs = madelung.SpatialGrid(sigma=snap.sigma).nodes
                 res = madelung.force_balance_residual(xs, snap, p,
                                                       variant=variant)
@@ -648,9 +645,7 @@ def _suite_madelung(rel_tol: Optional[float]) -> List[CheckResult]:
     def factorization():
         worst = 0.0
         for _ in range(15):
-            snap = madelung.GaussianSnapshot(
-                sigma=float(rng.uniform(0.5, 3.0)),
-                sigma_dot=float(rng.uniform(-2.0, 2.0)))
+            snap = snapshot()
             accel = float(rng.uniform(-3.0, 3.0))
             grid = madelung.SpatialGrid(sigma=snap.sigma)
             xs = grid.nodes

@@ -14,12 +14,14 @@ schemes, the explicit one with a chart, and the slope form on TR-BDF2
 rounding, as a stiff 41-node run on [0.3, 4.1], a grid where the
 slope stencil's edge entries depend on how 1 / (2 delta) is rounded,
 and as a 201-node run on that range at friction 20)
-and, without params, at zero temperature, equilibrium, a
-simulate sweep at ``--jobs 1`` and ``--jobs 4``, ``plot`` of the
-explicit thermal CSV and of the hold's CSV, whose 71 x 201 = 14,271
-rows repeat t and beta over 14 write blocks, and ``verify`` of six
-suites; 28 runs in all) once against each tree, each in a fresh
-interpreter, and compares every CSV, SVG,
+and, without params, at zero temperature, thermal for the integral
+form from a ``file`` profile, whose 11 widths are written into the
+config directory and named by absolute path, equilibrium, a simulate
+sweep at ``--jobs 1`` and ``--jobs 4``, a sweep of equilibrium over
+``params.beta``, ``plot`` of the explicit thermal CSV and of the hold's
+CSV, whose 71 x 201 = 14,271 rows repeat t and beta over 14 write
+blocks, and ``verify`` of six suites; 30 runs in all) once against each
+tree, each in a fresh interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
 absolute and relative cell difference, for an SVG how many lines differ.
@@ -233,10 +235,24 @@ CONFIGS = {
         "samples": 20001,
         "integrator": {"rel_tol": 1e-12, "abs_tol": 1e-15},
     }),
+    # Start widths read from a file, FILE_WIDTHS written at run time into
+    # the config directory under this name, which then becomes absolute.
+    "thermal-file-profile": ("thermal", {
+        "variant": "integral-form",
+        "params": {"natural": {"temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 3.0, "beta_count": 11},
+        "profile": {"kind": "file", "path": "widths.txt"},
+        "t_span": [0.0, 2.0],
+        "samples": 21,
+    }),
     "equilibrium": ("equilibrium", {
         "params": {"beta": 2.0, "omega0": 1.5, "m": 0.8},
     }),
 }
+
+# The file profile's widths: 1.05 times the coth profile's on its grid.
+FILE_WIDTHS = [1.05 * math.sqrt(0.5 / math.tanh(0.5 * (0.5 + 0.25 * k)))
+               for k in range(11)]
 
 SWEEP = {
     "task": "simulate",
@@ -247,6 +263,12 @@ SWEEP = {
     "samples": 41,
     "sweep": {"params.natural.friction": [0.1, 0.5, 1.0],
               "initial.sigma": [0.8, 1.5]},
+}
+
+EQUILIBRIUM_SWEEP = {
+    "task": "equilibrium",
+    "params": {"omega0": 1.5, "m": 0.8},
+    "sweep": {"params.beta": [4.0, 0.5, 2, 1.0]},
 }
 
 VERIFY_SUITES = ["free-particle", "energy", "thermal-limits", "madelung",
@@ -265,6 +287,12 @@ def _commands(cfg_dir: Path):
     """(label, argv) for every run, writing the configs into cfg_dir."""
     cmds = []
     for name, (command, payload) in CONFIGS.items():
+        profile = payload.get("profile", {})
+        if profile.get("kind") == "file":
+            widths = (cfg_dir / profile["path"]).resolve()
+            widths.write_text("".join(f"{w!r}\n" for w in FILE_WIDTHS),
+                              encoding="ascii")
+            payload = dict(payload, profile=dict(profile, path=str(widths)))
         path = cfg_dir / f"{name}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         cmds.append((name, [command, "--config", str(path)]))
@@ -273,6 +301,9 @@ def _commands(cfg_dir: Path):
     for jobs in ("1", "4"):
         cmds.append((f"sweep-jobs{jobs}",
                      ["sweep", "--config", str(path), "--jobs", jobs]))
+    path = cfg_dir / "sweep-equilibrium.json"
+    path.write_text(json.dumps(EQUILIBRIUM_SWEEP), encoding="utf-8")
+    cmds.append(("sweep-equilibrium", ["sweep", "--config", str(path)]))
     # "{out}" stands for the tree's output root, known only at run time.
     cmds.append(("plot-thermal", [
         "plot", "{out}/thermal-integral-explicit/thermal.csv"]))

@@ -370,6 +370,84 @@ def test_thermal_run_stopped_at_start_writes_each_node_once(tmp_path):
     assert not (tmp_path / "thermal.svg").exists()
 
 
+def _file_profile_config(tmp_path, text):
+    """A thermal config on 11 nodes whose start widths file holds
+    ``text``."""
+    widths = tmp_path / "widths.txt"
+    widths.write_text(text, encoding="ascii")
+    return _write_config(tmp_path, {
+        "variant": "integral-form",
+        "params": {"natural": {"temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 3.0, "beta_count": 11},
+        "profile": {"kind": "file", "path": str(widths)},
+        "t_span": [0.0, 1.0],
+        "samples": 5,
+    })
+
+
+def test_thermal_run_starts_from_a_widths_file(tmp_path):
+    widths = np.linspace(0.9, 1.4, 11) + 1e-3 * np.sin(np.arange(11.0))
+    cfg = _file_profile_config(
+        tmp_path, "\n".join(repr(float(w)) for w in widths) + "\n")
+    rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 0
+    _, data = output.read_csv(tmp_path / "thermal.csv")
+    assert data.shape == (55, 4)
+    # the first time block is the file's widths, at rest
+    assert np.all(data[:11, 0] == 0.0)
+    assert np.array_equal(data[:11, 2], widths)
+    assert np.array_equal(data[:11, 3], np.zeros(11))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["profile"] == "file"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n" * 10, "profile.path holds 10 widths, grid has 11 nodes"),
+    ("sigma\n" + "1.0\n" * 11,
+     "profile.path: could not convert string to float: 'sigma'"),
+    (",".join(["1.0"] * 11) + "\n", "profile.path: could not convert"),
+    ("1.0\n" * 10 + "0.0\n",
+     "profile.path widths must be positive and finite"),
+], ids=["count", "header", "commas", "zero"])
+def test_bad_widths_file_exits_1(tmp_path, capsys, text, message):
+    cfg = _file_profile_config(tmp_path, text)
+    rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "thermal.csv").exists()
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"kind": "constant", "value": math.inf}, "profile.value"),
+    ({"kind": "scaled-coth", "factor": math.inf}, "profile.factor"),
+    (None, "profile.path widths"),
+], ids=["constant", "scaled-coth", "file"])
+def test_non_finite_profile_exits_1(tmp_path, capsys, profile, message):
+    # Python's json reads and writes Infinity; a widths file may hold inf.
+    cfg = _file_profile_config(tmp_path, "1.0\n" * 10 + "inf\n")
+    if profile is not None:
+        payload = json.loads((tmp_path / "run.json").read_text())
+        cfg = _write_config(tmp_path, dict(payload, profile=profile))
+    rc = cli.main(["thermal", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet"])
+    assert rc == 1
+    assert (f"config error: {message} must be positive and finite"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "thermal.csv").exists()
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    cfg = _free_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="ascii")
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(taken)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert taken.read_text(encoding="ascii") == "not a directory"
+
+
 @pytest.mark.parametrize("command, payload, message", [
     ("simulate", {"model": "conservative", "initial": {"sigma": 1.0},
                   "t_span": [0.0, 1.0], "samples": 1_000_001},
