@@ -133,21 +133,25 @@ def _parse_params(obj: Optional[dict], where: str = "params"
     _mapping(obj, where)
     if "natural" in obj:
         _check_keys(obj, ("natural",), where)
-        nat = _mapping(obj["natural"], f"{where}.natural")
-        keys = ("friction", "temperature", "radiation")
-        _check_keys(nat, keys, f"{where}.natural")
-        return core.make_natural_params(*(
-            _number(nat.get(key, 0.0), f"{where}.natural.{key}")
-            for key in keys))
-    _check_keys(obj, ("m", "omega0", "hbar", "b", "beta", "k_B", "r"), where)
-    kwargs = {}
-    for key, value in obj.items():
-        if key == "beta" and value == "zero-temperature":
-            kwargs[key] = core.ZERO_TEMPERATURE
-        else:
-            kwargs[key] = _number(value, f"{where}.{key}")
+        where += ".natural"
+        nat = _mapping(obj["natural"], where)
+        # Each natural key and its make_natural_params argument.
+        args = {"friction": "gamma", "temperature": "theta",
+                "radiation": "epsilon"}
+        _check_keys(nat, tuple(args), where)
+        make = core.make_natural_params
+        kwargs = {arg: _number(nat[key], f"{where}.{key}")
+                  for key, arg in args.items() if key in nat}
+    else:
+        _check_keys(obj, ("m", "omega0", "hbar", "b", "beta", "k_B", "r"),
+                    where)
+        make = PhysicalParams
+        kwargs = {key: core.ZERO_TEMPERATURE
+                  if key == "beta" and value == "zero-temperature"
+                  else _number(value, f"{where}.{key}")
+                  for key, value in obj.items()}
     try:
-        return PhysicalParams(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -226,24 +230,24 @@ def _parse_simulate(cfg: dict) -> dict:
     variant = _choice(_need(cfg, "model", ""), _MODEL_NAMES, "model")
     initial_obj = _mapping(_need(cfg, "initial", ""), "initial")
     if variant in OVERDAMPED_VARIANTS:
-        _check_keys(initial_obj, ("sigma",), "initial")
-        initial = _number(_need(initial_obj, "sigma", "initial"),
-                          "initial.sigma")
+        keys = ("sigma",)
+    elif variant is ModelVariant.RADIATIVE_NAIVE:
+        keys = ("sigma", "sigma_dot", "sigma_ddot")
     else:
-        allowed = ("sigma", "sigma_dot", "sigma_ddot") \
-            if variant is ModelVariant.RADIATIVE_NAIVE \
-            else ("sigma", "sigma_dot")
-        _check_keys(initial_obj, allowed, "initial")
-        sigma = _number(_need(initial_obj, "sigma", "initial"),
-                        "initial.sigma")
-        sigma_dot = _number(initial_obj.get("sigma_dot", 0.0),
-                            "initial.sigma_dot")
-        if "sigma_ddot" in initial_obj:
-            initial = State3(sigma, sigma_dot,
-                             _number(initial_obj["sigma_ddot"],
-                                     "initial.sigma_ddot"))
-        else:
-            initial = State(sigma, sigma_dot)
+        keys = ("sigma", "sigma_dot")
+    _check_keys(initial_obj, keys, "initial")
+    _need(initial_obj, "sigma", "initial")
+    start = {}
+    for key in keys:
+        start[key] = _number(initial_obj.get(key, 0.0), f"initial.{key}")
+        if not math.isfinite(start[key]):
+            raise ConfigError(f"initial.{key} must be a finite number")
+    if variant in OVERDAMPED_VARIANTS:
+        initial = start["sigma"]
+    elif "sigma_ddot" in initial_obj:
+        initial = State3(**start)
+    else:
+        initial = State(start["sigma"], start["sigma_dot"])
     parsed.update(variant=variant, initial=initial, rows=parsed["samples"])
     return parsed
 

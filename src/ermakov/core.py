@@ -144,77 +144,47 @@ def ground_state_sigma(params: PhysicalParams) -> float:
     return math.sqrt(params.hbar) / math.sqrt(2.0 * params.m * params.omega0)
 
 
-def _products_in_range(params: PhysicalParams) -> bool:
-    """Whether every parameter product of ``energy`` is a normal float:
-    0.5 m, hbar^2, 8 m and, unless omega0 is 0, omega0^2 and 0.5 m omega0^2.
-    """
-    m, omega0 = params.m, params.omega0
-    products = [0.5 * m, params.hbar ** 2, 8.0 * m]
-    if omega0 != 0.0:
-        products += [omega0 ** 2, 0.5 * m * omega0 ** 2]
-    return all(sys.float_info.min <= p < math.inf for p in products)
-
-
-def _scaled_energy(s, sd, params: PhysicalParams):
-    """``energy`` from the binary mantissas and exponents of its factors,
-    so that no product leaves the float range unless its term does."""
-    fm, em = np.frexp(params.m)
-    fh, eh = np.frexp(params.hbar)
-    fs, es = np.frexp(s)
-    fv, ev = np.frexp(sd)
-    kinetic = np.ldexp(0.5 * fm * fv * fv, em + 2 * ev)
-    trap = 0.0
-    if params.omega0 != 0.0:
-        fw, ew = np.frexp(params.omega0)
-        trap = np.ldexp(0.5 * fm * (fw * fs) ** 2, em + 2 * (ew + es))
-    quantum = np.ldexp(fh * fh / (8.0 * fm * fs * fs), 2 * eh - em - 2 * es)
-    return kinetic + trap + quantum
-
-
 @np.errstate(all="ignore")
 def energy(state, params: PhysicalParams):
     """First integral m*sd^2/2 + m*w0^2*s^2/2 + hbar^2/(8 m s^2).
 
     Exactly conserved along the conservative width equation; decreases at the
     rate b*sigma_dot^2 along the damped one.  ``state`` is a State, which
-    must have sigma > 0, or an array of states whose last axis starts
-    (sigma, sigma_dot); an array gives one energy per state and its widths
-    are not checked.  Beyond the float range, ints included, it is inf;
-    within it, it is finite even where a product of the parameters, or of
-    the state with one, leaves the range.
+    must have sigma > 0 and gives a float, or an array of states whose last
+    axis starts (sigma, sigma_dot); an array gives one energy per state and
+    its widths are not checked.
+
+    The terms are (0.5 m)(sd^2), ((0.5 m) w0^2)(s^2) and
+    hbar^2 / ((8 m)(s^2)), each computed on the binary mantissas of its
+    factors and scaled once by its power of two.  Wherever every product is
+    a normal float that is the plain expression bit for bit, each square
+    taken as a product x * x (a Python float's ``x ** 2`` calls libm's pow,
+    which may differ by an ulp); elsewhere no product leaves the float
+    range unless its term does.  Beyond the float range, ints included, the
+    energy is inf.
     """
-    if isinstance(state, State):
-        s, sd = state.sigma, state.sigma_dot
-        if not s > 0.0:
-            raise ValueError(f"energy requires sigma > 0, got {s!r}")
-    else:
-        try:
-            rows = np.asarray(state, dtype=float)
-        except OverflowError:
-            rows = np.asarray(state, dtype=object)  # an int beyond floats
-            rows = np.where(abs(rows) >= 2 ** 1024, np.where(
-                rows > 0, math.inf, -math.inf), rows).astype(float)
-        s, sd = rows[..., 0], rows[..., 1]
-    m, hbar = params.m, params.hbar
-    # A trap coefficient of 0 or inf is the trap term at any s, so that
-    # 0 * inf never makes it NaN.
-    trap = 0.5 * m * params.omega0 ** 2
+    single = isinstance(state, State)
+    if single:
+        if not state.sigma > 0.0:
+            raise ValueError(f"energy requires sigma > 0, got {state.sigma!r}")
+        state = (state.sigma, state.sigma_dot)
     try:
-        trap_term = trap * s ** 2 if 0.0 < trap < math.inf else trap
-        value = 0.5 * m * sd ** 2 + trap_term + hbar ** 2 / (8.0 * m * s ** 2)
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    in_range = _products_in_range(params)
-    if in_range and np.isfinite(value).all():
-        return value
-    if isinstance(state, State):
-        # A State's Python numbers raise where numpy scalars give inf.
-        return float(energy([s, sd], params))
-    # A product that left the float range, of two parameters or of the
-    # state with one, lost a finite energy or gave 0 * inf.  Only those
-    # entries take the scaled value, so every other keeps its own.
-    return np.where(in_range & np.isfinite(value), value,
-                    _scaled_energy(s, sd, params))[()]
+        rows = np.asarray(state, dtype=float)
+    except OverflowError:
+        rows = np.asarray(state, dtype=object)  # an int beyond floats
+        rows = np.where(abs(rows) >= 2 ** 1024, np.where(
+            rows > 0, math.inf, -math.inf), rows).astype(float)
+    fs, es = np.frexp(rows[..., 0])
+    fv, ev = np.frexp(rows[..., 1])
+    fm, em = math.frexp(params.m)
+    fh, eh = math.frexp(params.hbar)
+    half, fs2 = 0.5 * fm, fs * fs
+    value = np.ldexp(half * (fv * fv), em + 2 * ev)
+    if params.omega0 != 0.0:  # else the trap term is 0, even at s = inf
+        fw, ew = math.frexp(params.omega0)
+        value += np.ldexp(half * (fw * fw) * fs2, em + 2 * (ew + es))
+    value += np.ldexp(fh * fh / (8.0 * fm * fs2), 2 * eh - em - 2 * es)
+    return float(value) if single else value
 
 
 def radiation_coefficient(charge: float,

@@ -4,7 +4,9 @@ Runs a fixed config set (simulate for all seven width models, one of
 them with an SVG chart, the naive radiative model at ``runaway_ratio``
 50 on both schemes, which stops on the sliding-window runaway trigger
 rather than the ratio one, the dissipative model at friction 20 and the
-overdamped dissipative model on TR-BDF2, a conservative run stopped by
+overdamped dissipative model on TR-BDF2, a dissipative run with m = 0.8,
+omega0 = 1.5 and hbar = 0.7, whose energy cells change with any
+regrouping of the energy's products, a conservative run stopped by
 ``max_steps``, a conservative run with rejected steps, one at width
 1e150 whose every rhs call overflows on Python floats and is retried on
 numpy scalars, and a tight conservative run of about 12,500 steps over
@@ -20,7 +22,7 @@ config directory and named by absolute path, equilibrium, a simulate
 sweep at ``--jobs 1`` and ``--jobs 4``, a sweep of equilibrium over
 ``params.beta``, ``plot`` of the explicit thermal CSV and of the hold's
 CSV, whose 71 x 201 = 14,271 rows repeat t and beta over 14 write
-blocks, and ``verify`` of six suites; 30 runs in all) once against each
+blocks, and ``verify`` of six suites; 31 runs in all) once against each
 tree, each in a fresh interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
@@ -115,6 +117,15 @@ CONFIGS = {
         "t_span": [0.0, 2.0],
         "samples": 101,
         "integrator": {"scheme": "implicit-a-stable", "runaway_ratio": 50},
+    }),
+    # Parameter mantissas other than 0.5, so that every energy cell
+    # depends on how the energy's products are grouped.
+    "dissipative-unscaled": ("simulate", {
+        "model": "dissipative",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.7, "b": 0.3},
+        "initial": {"sigma": 1.2, "sigma_dot": 0.3},
+        "t_span": [0.0, 10.0],
+        "samples": 301,
     }),
     # The width models on TR-BDF2: strong friction, and the first-order
     # model.

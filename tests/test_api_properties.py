@@ -110,7 +110,8 @@ def _exact_energy(sigma, rate, params):
 # Finite energies that a product leaving the float range lost to inf or
 # to 0; each must match its exact value.
 _FINITE_ENERGIES = {(1.0, 1e200, PhysicalParams(m=1e-300)),
-                    (1e200, 0.0, PhysicalParams(m=1e-300, omega0=1e-20))}
+                    (1e200, 0.0, PhysicalParams(m=1e-300, omega0=1e-20)),
+                    (1e-115, 0.0, PhysicalParams(m=1e150, omega0=1e80))}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -128,6 +129,9 @@ _FINITE_ENERGIES = {(1.0, 1e200, PhysicalParams(m=1e-300)),
 # 0.5 m omega0^2 underflows to 0: the energy is its trap term, 5e59.
 @example(sigma=1e200, rate=0.0, params=PhysicalParams(m=1e-300,
                                                       omega0=1e-20))
+# 0.5 m omega0^2 overflows: the energy is 6.25e79.
+@example(sigma=1e-115, rate=0.0, params=PhysicalParams(m=1e150,
+                                                       omega0=1e80))
 def test_energy_ends_in_a_value(sigma, rate, params):
     try:
         value = core.energy(State(sigma, rate), params)

@@ -666,6 +666,40 @@ def test_integer_beyond_float_range_exits_1(tmp_path, capsys, value):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("model, initial, key", [
+    ("conservative", {"sigma": math.inf}, "sigma"),
+    ("conservative", {"sigma": math.nan}, "sigma"),
+    ("conservative", {"sigma": 1.0, "sigma_dot": math.inf}, "sigma_dot"),
+    ("radiative-naive", {"sigma": 1.0, "sigma_ddot": math.nan},
+     "sigma_ddot"),
+    ("overdamped-dissipative", {"sigma": math.inf}, "sigma"),
+], ids=["inf-sigma", "nan-sigma", "inf-rate", "nan-acceleration",
+        "overdamped-inf-sigma"])
+def test_non_finite_start_exits_1(tmp_path, capsys, model, initial, key):
+    # Python's json reads Infinity and NaN.
+    cfg = _write_config(tmp_path, {"model": model,
+                                   "params": {"b": 1.0, "r": 0.01},
+                                   "initial": initial,
+                                   "t_span": [0.0, 1.0]})
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert (f"config error: initial.{key} must be a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("natural, message", [
+    ({"friction": math.inf}, "b must be non-negative and finite"),
+    ({"temperature": -1.0}, "beta must be positive"),
+], ids=["inf-friction", "negative-temperature"])
+def test_bad_natural_params_exit_1(tmp_path, capsys, natural, message):
+    cfg = _free_config(tmp_path, params={"natural": natural})
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert (f"config error: params.natural: {message}"
+            in capsys.readouterr().err)
+
+
 def test_unknown_model_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"model": "nope",
                                    "initial": {"sigma": 1.0},

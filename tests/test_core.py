@@ -156,6 +156,32 @@ def test_energy_of_underflowing_parameter_products(state, params, expected):
     assert got[1] == core.energy(State(0.8, -0.3), params)
 
 
+@pytest.mark.parametrize("params", [
+    PhysicalParams(m=0.8, omega0=1.5, hbar=0.7),
+    PhysicalParams(m=2.3, omega0=0.37, hbar=1.9),
+    PhysicalParams(m=0.11, omega0=7.3, hbar=0.053),
+    # hbar ** 2 on a Python float calls libm's pow, which for this hbar
+    # may round an ulp away from hbar * hbar.
+    PhysicalParams(m=5.661536710440907, omega0=0.0,
+                   hbar=2.078331610495918),
+], ids=["cli", "slow-trap", "stiff-trap", "free"])
+def test_energy_is_the_plain_expression_bit_for_bit(params):
+    rng = np.random.default_rng(23)
+    s = np.exp(rng.uniform(-30.0, 30.0, 2000))
+    sd = rng.standard_normal(2000) * np.exp(rng.uniform(-30.0, 30.0, 2000))
+    # On arrays, ** 2 is a correctly rounded product.
+    m, w0, hbar = (np.array(x) for x in (params.m, params.omega0,
+                                         params.hbar))
+    plain = 0.5*m*sd**2 + 0.5*m*w0**2*s**2 + hbar**2/(8*m*s**2)
+    assert np.all(np.isfinite(plain))
+    assert np.array_equal(core.energy(np.column_stack((s, sd)), params),
+                          plain)
+    for i in range(0, 2000, 40):
+        assert core.energy(np.array([s[i], sd[i]]), params) == plain[i]
+        value = core.energy(State(float(s[i]), float(sd[i])), params)
+        assert type(value) is float and value == plain[i]
+
+
 def test_energy_minimised_at_ground_state():
     p = PhysicalParams()
     sg = core.ground_state_sigma(p)
