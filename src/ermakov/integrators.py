@@ -129,6 +129,8 @@ _TB_D = _TB_GAMMA / 2.0
 # Weights of (third-order companion) - (second-order solution), over h/3.
 _TB_E0 = 1.0 - math.sqrt(2.0)
 _TB_E2 = -(2.0 - math.sqrt(2.0))
+# A Newton contraction theta above this refreshes the TR-BDF2 matrix.
+_TB_REFRESH = 0.1
 
 
 class _FloorBreach(Exception):
@@ -428,94 +430,148 @@ def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
     return x
 
 
+class _Trbdf2Run:
+    """What one TR-BDF2 run carries from one step attempt to the next.
+
+    ``eta`` is the Newton contraction-rate estimate that ``_newton``
+    reads and updates.  ``solve`` is the last ``newton_solver`` result
+    and ``dh`` the coefficient it was made at; ``_newton`` drops it when
+    a solve contracts slowly.  ``step`` is the start (y, f0, h) and
+    ``y1`` the end of the last attempt that returned, and ``past`` the
+    start of the last accepted step, None before the first.
+    """
+
+    __slots__ = ("eta", "solve", "dh", "step", "y1", "past")
+
+    def __init__(self) -> None:
+        self.eta = 1.0
+        self.solve = self.dh = self.step = self.y1 = self.past = None
+
+
 def _newton(rhs: Callable[[np.ndarray], np.ndarray],
             solve: Callable[[np.ndarray], np.ndarray],
-            target: np.ndarray, z0: np.ndarray, dh: float,
-            scale: np.ndarray, nguard: int, eta: list) -> np.ndarray:
+            target: np.ndarray, z: np.ndarray, dh: float,
+            scale: np.ndarray, nguard: int, run: _Trbdf2Run) -> np.ndarray:
     """Solve z - dh f(z) = target by damped Newton with a frozen matrix.
 
-    ``solve(g)`` returns x with (I - dh J) x = g for the step's frozen J.
-    An iterate is accepted when its scaled update dn is below 0.03, or
-    when the contraction-rate estimate of its remaining error, eta * dn,
-    is (Hairer & Wanner, *Solving ODEs II*, IV.8).  ``eta[0]`` holds the
+    ``solve(g)`` returns x with (I - dh J) x = g for the step's frozen J,
+    and ``z`` is the predictor, already on the sigma > 0 side.  An
+    iterate is accepted when its scaled update dn is below 0.03, or when
+    the contraction-rate estimate of its remaining error, eta * dn, is
+    (Hairer & Wanner, *Solving ODEs II*, IV.8).  ``run.eta`` holds the
     run's eta, that of its last converged solve that measured one: after
     iteration k >= 1, eta = theta / (1 - theta) with theta =
     dn_k / dn_(k-1), or inf once theta >= 1.  The first iteration of a
-    solve tests with max(eta[0], 2.2e-16) ** 0.8; a solve that stops
-    there measures nothing and leaves ``eta[0]`` as it was, and a solve
+    solve tests with max(run.eta, 2.2e-16) ** 0.8; a solve that stops
+    there measures nothing and leaves ``run.eta`` as it was, and a solve
     that fails leaves 1.0.  Every iterate the dn test alone would accept
-    is accepted, so no solve iterates more than on that test.  A rate
-    measured at small updates can understate the contraction of a much
-    larger first update, whose iterate then stops further than 0.03
-    from the converged solve.
+    is accepted, so no solve iterates more than on that test.  A theta
+    above ``_TB_REFRESH`` drops ``run.solve``, so that the next attempt
+    factors afresh.  A non-finite f or update makes dn non-finite, which
+    is a bad step.
     """
-    measured = eta[0]
-    eta[0] = 1.0
+    measured = run.eta
+    run.eta = 1.0
     rate = max(measured, 2.2e-16) ** 0.8
-    z = z0.copy()
     prev = math.inf
     for _ in range(12):
-        if z[:nguard].min() <= 0.0:
-            raise _FloorBreach
-        f = rhs(z)
-        if not np.isfinite(f).all():
-            raise _BadStep
-        g = z - dh * f - target
-        dz = _linear_solve(solve, g)
+        dz = solve(z - dh * rhs(z) - target)
         dn = _rms(dz / scale)
+        if not math.isfinite(dn):
+            raise _BadStep
         if dn > 2.0 * prev:
             dz *= 0.5
             dn *= 0.5
         z = z - dz
+        if z[:nguard].min() <= 0.0:
+            raise _FloorBreach
         if prev < math.inf:
             theta = dn / prev
+            if theta > _TB_REFRESH:
+                run.solve = None
             rate = measured = (theta / (1.0 - theta) if theta < 1.0
                                else math.inf)
         if dn < 0.03 or rate * dn < 0.03:
-            if z[:nguard].min() <= 0.0:
-                raise _FloorBreach
-            eta[0] = measured
+            run.eta = measured
             return z
         prev = dn
     raise _BadStep
 
 
+def _extrapolate(past: tuple, y: np.ndarray, f0: np.ndarray,
+                 s: float) -> np.ndarray:
+    """The cubic Hermite interpolant of the accepted step ``past`` =
+    (y_p, f_p, h_p) that ended at (y, f0), evaluated s beyond its end:
+    its four basis polynomials at x = 1 + s / h_p weigh y_p, y, h_p f_p
+    and h_p f0."""
+    y_p, f_p, h_p = past
+    u = s / h_p
+    w = u * u * (3.0 + 2.0 * u)
+    return (w * y_p + (1.0 - w) * y + (h_p * u * u * (1.0 + u)) * f_p
+            + (h_p * u * (1.0 + u) ** 2) * f0)
+
+
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                     f0: np.ndarray, h: float, nguard: int, abs_tol: float,
-                    rel_tol: float, newton_solver, eta: list):
+                    rel_tol: float, newton_solver, run: _Trbdf2Run):
     """One TR-BDF2 step attempt.  Returns (y1, f1, err, (f0, f1)).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
     that every Newton iteration and the error filter of the step use.
-    ``eta`` is the run's one-element contraction-rate estimate, which
-    both stages' ``_newton`` read and update.  A stage usually stops
-    after one iteration, so an attempt usually makes 4 rhs calls and 3
-    solves.
+    ``run`` is the run's ``_Trbdf2Run``.  An attempt that starts where
+    the last one ended (``y is run.y1``: that step was accepted) reuses
+    the last solve while dh is unchanged; any other attempt, the first,
+    one after a rejection and one after a failure, calls
+    ``newton_solver`` afresh, as does one after a slow contraction.  Both
+    stages start from the cubic Hermite interpolant of the last accepted
+    step, extrapolated to t + gamma h and t + h; the first step, which
+    has none, predicts along f0 and the stage derivative.  That
+    derivative, f_mid, comes from the stage equation, (z - target) / dh,
+    and feeds only the error estimate and the first step's predictor.  A
+    stage usually stops after one iteration, so an attempt usually makes
+    3 rhs calls and 3 solves.
     """
     scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
-    solve = newton_solver(y, f0, dh)
+    if y is run.y1:
+        run.y1 = None
+        run.past = run.step
+        solve = run.solve if dh == run.dh else None
+    else:
+        solve = None
+    if solve is None:
+        run.solve = None  # the old matrices go before the new are made
+        solve = run.solve = newton_solver(y, f0, dh)
+        run.dh = dh
+    past = run.past
     # Trapezoidal stage to t + gamma h.
     target = y + dh * f0
-    z_pred = y + _TB_GAMMA * h * f0
-    if z_pred[:nguard].min() <= 0.0:
-        z_pred = y.copy()
-    z = _newton(rhs, solve, target, z_pred, dh, scale, nguard, eta)
-    f_mid = rhs(z)
+    if past is None:
+        z = y + _TB_GAMMA * h * f0
+    else:
+        z = _extrapolate(past, y, f0, _TB_GAMMA * h)
+    if z[:nguard].min() <= 0.0:
+        z = y
+    z = _newton(rhs, solve, target, z, dh, scale, nguard, run)
+    f_mid = (z - target) / dh
     # BDF2 stage to t + h, eliminating the history in favour of z.
     cz = 0.5 * (math.sqrt(2.0) + 1.0)
     cy = 0.5 * (math.sqrt(2.0) - 1.0)
     target = cz * z - cy * y
-    y_pred = z + (1.0 - _TB_GAMMA) * h * f_mid
-    if y_pred[:nguard].min() <= 0.0:
-        y_pred = z.copy()
-    y1 = _newton(rhs, solve, target, y_pred, dh, scale, nguard, eta)
+    if past is None:
+        y1 = z + (1.0 - _TB_GAMMA) * h * f_mid
+    else:
+        y1 = _extrapolate(past, y, f0, h)
+    if y1[:nguard].min() <= 0.0:
+        y1 = z
+    y1 = _newton(rhs, solve, target, y1, dh, scale, nguard, run)
     f1 = rhs(y1)
     if not np.isfinite(f1).all():
         raise _BadStep
     raw = (h / 3.0) * (_TB_E0 * f0 + f_mid + _TB_E2 * f1)
     # Filter the companion difference so stiff components do not dominate.
     err_vec = _linear_solve(solve, raw)
+    run.step, run.y1 = (y, f0, h), y1
     return (y1, f1, _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
             (f0, f1))
 
@@ -636,8 +692,10 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
     0.9 err^-1/(q+1) clipped to [0.2, 1], q the embedded order.  An
     accepted explicit step grows by Gustafsson's PI factor
     0.9 err^-0.14 err_prev^0.08, an implicit one by 0.9 err^-1/3, both
-    clipped to [0.2, 10] and to at most 1 right after a rejection.
-    Returns (accept, factor).
+    clipped to [0.2, 10] and to at most 1 right after a rejection.  An
+    implicit factor in [1, 1.2] becomes 1, so the step keeps its size
+    and its Newton matrix (RADAU5's QUOT1 and QUOT2; Hairer & Wanner,
+    *Solving ODEs II*, IV.8).  Returns (accept, factor).
     """
     if err is None:
         return False, 0.5
@@ -652,6 +710,8 @@ def _control(err: Optional[float], err_prev: float, explicit: bool,
         fac = 0.9 * err ** (-0.14) * err_prev ** 0.08
     else:
         fac = 0.9 * err ** (-exponent)
+        if 1.0 <= fac <= 1.2:
+            fac = 1.0
     if fac > 10.0:
         fac = 10.0
     elif fac < 0.2:
@@ -685,13 +745,15 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     keeps what its accepted steps return for their interpolants and
     builds all their coefficients once, at its end, with its scheme's
     ``_dp54_dense`` or ``_hermite_dense``.
-    ``newton_solver(y, f0, dh)`` serves the implicit scheme: called once
-    per step attempt, it factors I - dh J(y), J the Jacobian of ``rhs``,
-    and returns the solve that every Newton iteration and the error
-    filter of the attempt reuse.  Without one, TR-BDF2 forms I - dh J
-    from a finite-difference Jacobian at every attempt.  Each TR-BDF2 run
-    keeps one Newton contraction-rate estimate, starting at 1, that the
-    attempts' ``_newton`` solves read and update.
+    ``newton_solver(y, f0, dh)`` serves the implicit scheme: it factors
+    I - dh J(y), J the Jacobian of ``rhs``, and returns the solve that
+    every Newton iteration and the error filter use.  An attempt calls it
+    on a new dh, after a rejected or failed attempt, and after a slow
+    Newton contraction; otherwise it reuses the last solve (see
+    ``_trbdf2_attempt``).  Without one, TR-BDF2 forms I - dh J from a
+    finite-difference Jacobian at each of those calls.  Each TR-BDF2 run
+    keeps its own ``_Trbdf2Run``: the Newton contraction-rate estimate,
+    starting at 1, the last solve and the last accepted step.
     ``np.linalg.LinAlgError`` anywhere in a step attempt is a bad step.
     ``runaway=(scale, window)`` sets a third-order run's two triggers on
     |y[2]| (see ``IntegratorConfig``); the window's base is the last node
@@ -740,7 +802,8 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
             attempt = partial(_trbdf2_attempt, counted_array, nguard=nguard,
                               abs_tol=abs_tol, rel_tol=rel_tol,
                               newton_solver=newton_solver
-                              or _dense_solver(counted_array), eta=[1.0])
+                              or _dense_solver(counted_array),
+                              run=_Trbdf2Run())
 
     times = [t0]
     states = [y]

@@ -26,12 +26,12 @@ On the implicit TR-BDF2 scheme, ``integrate_thermal`` hands the driver
 a Newton solver built on ``acceleration_jacobian``, the analytic
 Jacobian of the field, and reduces each Newton system to one n x n
 matrix (a Schur complement on the second-order block structure), which
-it factors once per step attempt and reuses for every Newton iteration
-and the error filter: in O(n) where the Jacobian keeps to the slope
-stencil's three columns per row, by a dense inverse otherwise.  Its
-coupling across the grid is the rhs operator applied to the unit
-vectors, so it is written once.  The scalar width
-models keep the driver's finite-difference Jacobian.
+it factors whenever the driver asks for a new matrix and which every
+Newton iteration and error filter then reuse: in O(n) where the Jacobian
+keeps to the slope stencil's three columns per row, by a dense inverse
+otherwise.  Its coupling across the grid is the rhs operator applied to
+the unit vectors, so it is written once.  The scalar width models keep
+the driver's finite-difference Jacobian.
 """
 
 import math
@@ -392,14 +392,15 @@ def _schur_solver(variant: ThermalVariant, grid: BetaGrid,
     (I - dh J) [x; v] = [g1; g2] reduces to one n x n system,
     M x = (1 + dh c) g1 + dh g2 with M = (1 + dh c) I - dh^2 A, followed
     by v = (g2 + dh A x) / (1 + dh c).  Called as
-    ``newton_solver(y, f0, dh)`` by ``integrators._drive`` once per step
-    attempt, it factors M there, and each of the attempt's solves reuses
-    that factorisation.  How it factors is chosen once per run from the
-    Jacobian's field-independent part, the rhs coupling operator applied
-    to the unit vectors: a structure that ``_stencil_layout`` holds (the
-    slope form's) keeps A as (n, 5) band rows and factors M in O(n) with
-    ``_stencil_lu``; any other (the integral form's lower triangle)
-    keeps A as an (n, n) matrix and inverts M.  A singular M is
+    ``newton_solver(y, f0, dh)`` by ``integrators._drive`` on each new dh
+    and each refresh, it factors M there, and every solve of the
+    attempts that keep that dh reuses that factorisation.  How it
+    factors is chosen once per run from the Jacobian's field-independent
+    part, the rhs coupling operator applied to the unit vectors: a
+    structure that ``_stencil_layout`` holds (the slope form's) keeps A
+    as (n, 5) band rows and factors M in O(n) with ``_stencil_lu``; any
+    other (the integral form's lower triangle) keeps A as an (n, n)
+    matrix and inverts M.  A singular M is
     ``np.linalg.LinAlgError``, which ``_drive`` takes as a bad step.
     """
     n = grid.count

@@ -3,16 +3,18 @@
 Runs a fixed config set (simulate for all seven width models, one of
 them with an SVG chart, the naive radiative model at ``runaway_ratio``
 50 on both schemes, which stops on the sliding-window runaway trigger
-rather than the ratio one, the dissipative model at friction 20 and the
-overdamped dissipative model on TR-BDF2, a dissipative run with m = 0.8,
-omega0 = 1.5 and hbar = 0.7, whose energy cells change with any
-regrouping of the energy's products, a conservative run stopped by
+rather than the ratio one, the dissipative model at friction 20 and at
+friction 100 and the overdamped dissipative model on TR-BDF2, a
+dissipative run with m = 0.8, omega0 = 1.5 and hbar = 0.7, whose energy
+cells change with any regrouping of the energy's products, a
+conservative run stopped by
 ``max_steps``, a conservative run with rejected steps, one at width
 1e150 whose every rhs call overflows on Python floats and is retried on
 numpy scalars, and a tight conservative run of about 12,500 steps over
 [0, 20 pi] sampled 20,001 times, thermal for the integral form on both
-schemes, the explicit one with a chart, and the slope form on TR-BDF2
-(also as a stiff 71-node hold at equilibrium, whose step sizes follow
+schemes, the explicit one with a chart, the benchmark's 36-node
+integral-form relaxation on TR-BDF2 over [0, 60], and the slope form on
+TR-BDF2 (also as a stiff 71-node hold at equilibrium, whose step sizes follow
 rounding, as a stiff 41-node run on [0.3, 4.1], a grid where the
 slope stencil's edge entries depend on how 1 / (2 delta) is rounded,
 and as a 201-node run on that range at friction 20)
@@ -22,7 +24,7 @@ config directory and named by absolute path, equilibrium, a simulate
 sweep at ``--jobs 1`` and ``--jobs 4``, a sweep of equilibrium over
 ``params.beta``, ``plot`` of the explicit thermal CSV and of the hold's
 CSV, whose 71 x 201 = 14,271 rows repeat t and beta over 14 write
-blocks, and ``verify`` of six suites; 31 runs in all) once against each
+blocks, and ``verify`` of six suites; 33 runs in all) once against each
 tree, each in a fresh interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
@@ -137,6 +139,15 @@ CONFIGS = {
         "samples": 151,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-7},
     }),
+    "dissipative-implicit-b100": ("simulate", {
+        "model": "dissipative",
+        "params": {"natural": {"friction": 100.0}},
+        "initial": {"sigma": 2.0},
+        "t_span": [0.0, 1.0],
+        "samples": 101,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-9,
+                       "abs_tol": 1e-12},
+    }),
     "overdamped-implicit": ("simulate", {
         "model": "overdamped-dissipative",
         "params": {"b": 10.0},
@@ -171,6 +182,17 @@ CONFIGS = {
         "t_span": [0.0, 4.0],
         "samples": 41,
         "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8},
+    }),
+    # The benchmark's relaxation: 36 nodes, 1.2 times the coth profile.
+    "thermal-integral-relax": ("thermal", {
+        "variant": "integral-form",
+        "params": {"natural": {"friction": 10.0, "temperature": 1.0}},
+        "grid": {"beta_min": 0.5, "beta_max": 4.0, "beta_count": 36},
+        "profile": {"kind": "scaled-coth", "factor": 1.2},
+        "t_span": [0.0, 60.0],
+        "samples": 61,
+        "integrator": {"scheme": "implicit-a-stable", "rel_tol": 1e-8,
+                       "abs_tol": 1e-11},
     }),
     # A stiff hold at equilibrium: its error estimate is rounding noise,
     # so any change in rounding re-times its steps and shows here.

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -344,8 +345,8 @@ def _newton_distances(monkeypatch, run):
     newton = integrators._newton
     distances = []
 
-    def checked(rhs, solve, target, z0, dh, scale, nguard, eta):
-        z = newton(rhs, solve, target, z0, dh, scale, nguard, eta)
+    def checked(rhs, solve, target, z0, dh, scale, nguard, state):
+        z = newton(rhs, solve, target, z0, dh, scale, nguard, state)
         # Iterate until the update stops shrinking: rounding then
         # dominates it.
         converged, prev = z, math.inf
@@ -359,8 +360,9 @@ def _newton_distances(monkeypatch, run):
         distances.append(integrators._rms((z - converged) / scale))
         return z
 
-    monkeypatch.setattr(integrators, "_newton", checked)
-    traj = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(integrators, "_newton", checked)
+        traj = run()
     return traj, np.array(distances)
 
 
@@ -375,39 +377,157 @@ def _hold_71():
     return traj
 
 
+def _relax_36():
+    params = PhysicalParams(beta=1.0, b=10.0)
+    grid = BetaGrid.from_range(0.5, 4.0, 36)
+    start = ThermalField.at_rest(
+        grid, 1.2 * thermal.equilibrium_profile_coth(grid, params).sigma)
+    traj, reason = thermal.integrate_thermal(
+        ThermalVariant.INTEGRAL_FORM, start, (0.0, 60.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11))
+    assert reason is StopReason.COMPLETED
+    return traj
+
+
 def _width_b100():
     cfg = IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9, abs_tol=1e-12)
     return _width_run(100.0)(cfg, (0.0, 1.0))[0]
 
 
 def test_accepted_newton_iterates_lie_near_convergence(monkeypatch):
-    # The 71-node hold: nearly every solve stops after one iteration on
-    # the contraction-rate rule, each within the tolerance 0.03 of its
-    # converged solution.
-    traj, distances = _newton_distances(monkeypatch, _hold_71)
-    assert distances.size == 2 * (traj.n_accepted + traj.n_rejected)
-    assert distances.max() <= 0.03
-    # At strong friction a rate measured at small first updates
-    # understates the contraction of much larger ones: 6 of 2,348
-    # iterates stop up to 0.23 away.  This pins that excess so it cannot
-    # grow unnoticed; the run's true error stays within its guard above.
-    traj, distances = _newton_distances(monkeypatch, _width_b100)
-    assert distances.size == 2 * (traj.n_accepted + traj.n_rejected)
-    assert np.mean(distances > 0.03) < 0.01
-    assert distances.max() <= 0.3
+    # The 71-node hold, the 36-node relax and the width at friction 100:
+    # nearly every solve stops after one iteration on the run's
+    # contraction rate, each from the last step's interpolant and within
+    # the tolerance 0.03 of its converged solution.
+    for run in (_hold_71, _relax_36, _width_b100):
+        traj, distances = _newton_distances(monkeypatch, run)
+        assert distances.size == 2 * (traj.n_accepted + traj.n_rejected)
+        assert distances.max() <= 0.03, run.__name__
 
 
-def test_newton_rate_estimate_belongs_to_its_run():
-    # Each run starts from eta = 1: a run after another is the run alone.
-    alone = _width_b100()
-    _width_run(0.5)(IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9,
-                                     abs_tol=1e-12), (0.0, 0.5))
-    after = _width_b100()
+def _same_run(alone, after):
     for key in ("times", "states", "step_sizes", "error_estimates",
                 "dense_coefficients"):
         assert getattr(alone, key).tobytes() == getattr(after, key).tobytes()
     assert (alone.n_accepted, alone.n_rejected, alone.n_rhs) == (
         after.n_accepted, after.n_rejected, after.n_rhs)
+
+
+def _field_11():
+    return _field_run(ThermalVariant.INTEGRAL_FORM, 11)(
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11),
+        (0.0, 2.0))[0]
+
+
+def test_newton_rate_estimate_belongs_to_its_run():
+    # Each run starts from eta = 1, with no matrix and no step history: a
+    # run after another is the run alone, node for node and coefficient
+    # for coefficient.
+    alone = _width_b100()
+    field_alone = _field_11()
+    _width_run(0.5)(IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9,
+                                     abs_tol=1e-12), (0.0, 0.5))
+    _same_run(alone, _width_b100())
+    _same_run(field_alone, _field_11())
+    _same_run(alone, _width_b100())
+
+
+def _oscillator(y):
+    return np.array([y[1], -y[0]])
+
+
+def _oscillator_solver(y, f0, dh):
+    mat = np.eye(2) - dh * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return lambda g: np.linalg.solve(mat, g)
+
+
+def _counted_attempt(newton_solver):
+    """A bound TR-BDF2 attempt on the oscillator with a fresh run, and
+    the list of dh its ``newton_solver`` calls were made at."""
+    calls = []
+
+    def counted(y, f0, dh):
+        calls.append(dh)
+        return newton_solver(y, f0, dh)
+
+    attempt = partial(integrators._trbdf2_attempt, _oscillator, nguard=1,
+                      abs_tol=1e-12, rel_tol=1e-9, newton_solver=counted,
+                      run=integrators._Trbdf2Run())
+    return attempt, calls
+
+
+def test_trbdf2_reuses_its_matrix_only_after_an_accepted_step():
+    # The driver hands an accepted step's y1 to the next attempt and
+    # restarts a rejected one from its own start, here at the same h.
+    attempt, calls = _counted_attempt(_oscillator_solver)
+    y = np.array([1.0, 0.5])
+    first = attempt(y, _oscillator(y), 0.01)
+    assert len(calls) == 1
+    attempt(first[0], first[1], 0.01)
+    assert len(calls) == 1
+    # The second is rejected: its retry factors afresh, at the same dh.
+    retry = attempt(first[0], first[1], 0.01)
+    assert len(calls) == 2
+    attempt(retry[0], retry[1], 0.01)
+    assert len(calls) == 2
+    assert calls[0] == calls[1]
+
+
+def test_trbdf2_factors_afresh_after_a_late_failure():
+    # A solve that fails after its matrix was made, as
+    # ``_late_failing_solver``'s do, leaves nothing to reuse: the retry
+    # from the same accepted node, at the same h, calls the solver again.
+    failing = [False]
+
+    def solver(y, f0, dh):
+        solve = _oscillator_solver(y, f0, dh)
+
+        def checked(g):
+            if failing[0]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(g)
+        return checked
+
+    attempt, calls = _counted_attempt(solver)
+    y = np.array([1.0, 0.5])
+    first = attempt(y, _oscillator(y), 0.01)
+    failing[0] = True
+    with pytest.raises(np.linalg.LinAlgError):
+        attempt(first[0], first[1], 0.01)
+    assert len(calls) == 1
+    failing[0] = False
+    attempt(first[0], first[1], 0.01)
+    assert len(calls) == 2
+    # In the driver every attempt with ``_late_failing_solver`` fails, so
+    # each one factors afresh.
+    calls.clear()
+
+    def counted(y, f0, dh):
+        calls.append(dh)
+        return _late_failing_solver(y, f0, dh)
+
+    cfg = IntegratorConfig(scheme=Scheme.TRBDF2, h_init=0.1, h_min=1e-3)
+    fields, _ = integrators._drive(_oscillator, np.array([1.0, 0.0]),
+                                   (0.0, 1.0), cfg, newton_solver=counted)
+    assert len(calls) == fields["n_rejected"] + 1
+
+
+@pytest.mark.parametrize("theta, refresh", [(0.5, False), (2.0, True)])
+def test_slow_newton_contraction_drops_the_matrix(theta, refresh):
+    # z - dh f(z) = target with f(z) = -z and dh = 1, solved with the
+    # matrix of f(z) = -lam z: each update shrinks the error by
+    # theta = 1 - 2 / (1 + lam).  A theta above _TB_REFRESH drops the
+    # run's matrix, so that the next attempt factors afresh.
+    theta *= integrators._TB_REFRESH
+    lam = 2.0 / (1.0 - theta) - 1.0
+    run = integrators._Trbdf2Run()
+    run.solve = kept = object()
+    z = integrators._newton(lambda z: -z, lambda g: g / (1.0 + lam),
+                            np.array([1.0]), np.array([1.0]), 1.0,
+                            np.array([1e-3]), 1, run)
+    assert abs(z[0] - 0.5) < 1e-4
+    assert run.eta == pytest.approx(theta / (1.0 - theta))
+    assert run.solve is (None if refresh else kept)
 
 
 def _singular_solver(y, f0, dh):
@@ -436,14 +556,14 @@ def _nan_inverse_solver(y, f0, dh):
 def _late_failing_solver(y, f0, dh):
     # Two solves succeed, then every later solve of the attempt raises:
     # the failure reaches the later Newton iterations and the error filter.
-    mat = np.eye(2) - dh * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    exact = _oscillator_solver(y, f0, dh)
     calls = []
 
     def solve(g):
         calls.append(None)
         if len(calls) > 2:
             raise np.linalg.LinAlgError("Singular matrix")
-        return np.linalg.solve(mat, g)
+        return exact(g)
     return solve
 
 
@@ -456,11 +576,8 @@ def test_failed_newton_solves_end_in_step_underflow(newton_solver):
     # factor, is a bad step: halve, then stop at the step floor, never
     # raise.  An infinite Newton update must not pass for a width
     # crossing the floor (SIGMA_GUARD_HIT).
-    def rhs(y):
-        return np.array([y[1], -y[0]])
-
     cfg = IntegratorConfig(scheme=Scheme.TRBDF2, h_init=0.1, h_min=1e-3)
-    fields, reason = integrators._drive(rhs, np.array([1.0, 0.0]),
+    fields, reason = integrators._drive(_oscillator, np.array([1.0, 0.0]),
                                         (0.0, 1.0), cfg,
                                         newton_solver=newton_solver)
     assert reason is StopReason.STEP_UNDERFLOW

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ermakov import analytic, thermal
+from ermakov import analytic, integrators, thermal
 from ermakov.core import PhysicalParams
 from ermakov.integrators import IntegratorConfig, Scheme, StopReason
 from ermakov.thermal import BetaGrid, ThermalField, ThermalVariant
@@ -625,34 +625,97 @@ def test_trbdf2_field_rhs_calls_equal_n_rhs(monkeypatch, variant):
     assert calls[0] == traj.n_rhs
 
 
-@pytest.mark.parametrize("variant", list(ThermalVariant))
-def test_trbdf2_field_factors_once_per_attempt(monkeypatch, variant):
-    # Every Newton iteration and the error filter of an attempt reuse one
-    # factorisation of the attempt's Newton matrix: the slope form's
-    # O(n) stencil factorisation, with no dense inverse or solve, or the
-    # integral form's inverse.
+def _record_attempts(monkeypatch):
+    """Record each TR-BDF2 attempt of the thermal runs from here on: its
+    dh, the dh of each factorisation it makes, the dh each of its solves
+    was factored at, and its start and end states."""
+    attempts = []
+    schur = thermal._schur_solver
+
+    def recording_schur(*args):
+        newton_solver = schur(*args)
+
+        def factor(y, f0, dh):
+            attempts[-1]["factored"].append(dh)
+            solve = newton_solver(y, f0, dh)
+
+            def recorded(g):
+                attempts[-1]["solved"].append(dh)
+                return solve(g)
+            return recorded
+        return factor
+
+    kernel = integrators._trbdf2_attempt
+
+    def attempt(rhs, y, f0, h, **kwargs):
+        attempts.append({"dh": integrators._TB_D * h, "y": y, "y1": None,
+                         "factored": [], "solved": []})
+        out = kernel(rhs, y, f0, h, **kwargs)
+        attempts[-1]["y1"] = out[0]
+        return out
+
+    monkeypatch.setattr(thermal, "_schur_solver", recording_schur)
+    monkeypatch.setattr(integrators, "_trbdf2_attempt", attempt)
+    return attempts
+
+
+_HOLD_71 = (ThermalVariant.BETA_DERIVATIVE, 71, 80.0, 1.0, 10.0, 1e-9, 0.15)
+_RELAX_36 = (ThermalVariant.INTEGRAL_FORM, 36, 10.0, 1.2, 60.0, 1e-8, 0.35)
+
+
+@pytest.mark.parametrize("variant, count, friction, factor, t_end, rel_tol, "
+                         "share", [_HOLD_71, _RELAX_36],
+                         ids=["hold-71", "relax-36"])
+def test_trbdf2_field_factors_only_on_a_new_dh_or_a_refresh(
+        monkeypatch, variant, count, friction, factor, t_end, rel_tol,
+        share):
+    # Every solve of an attempt, each Newton iteration's and the error
+    # filter's, uses a factorisation made at that attempt's dh.  An
+    # attempt factors only on a dh other than the last factorisation's,
+    # after an attempt that was rejected or failed, or after one whose
+    # Newton solves iterated more than once (a slow contraction can drop
+    # the matrix); an attempt that follows an accepted one at the same dh
+    # with one iteration per stage reuses its matrix.  The slope form
+    # factors with the O(n) stencil, no dense inverse or solve; the
+    # integral form inverts.
     calls = _count_factorisations(monkeypatch)
-    grid = BetaGrid.from_range(0.5, 4.0, 11)
-    params = P.with_(b=10.0)
+    attempts = _record_attempts(monkeypatch)
+    grid = BetaGrid.from_range(0.5, 4.0, count)
+    params = PhysicalParams(beta=1.0, b=friction)
     start = ThermalField.at_rest(
-        grid, 1.1 * thermal.equilibrium_profile_coth(grid, params).sigma)
+        grid, factor * thermal.equilibrium_profile_coth(grid, params).sigma)
     traj, reason = thermal.integrate_thermal(
-        variant, start, (0.0, 1.0), params,
-        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11))
+        variant, start, (0.0, t_end), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=rel_tol,
+                         abs_tol=1e-3 * rel_tol))
     assert reason is StopReason.COMPLETED
-    assert traj.n_accepted > 10
-    attempts = traj.n_accepted + traj.n_rejected
+    assert len(attempts) == traj.n_accepted + traj.n_rejected
+    last_dh = None
+    for i, a in enumerate(attempts):
+        assert a["solved"] and set(a["solved"]) == {a["dh"]}, i
+        assert len(a["factored"]) <= 1, i
+        before = attempts[i - 1] if i else None
+        accepted = before is not None and a["y"] is before["y1"]
+        if accepted and a["dh"] == last_dh and len(before["solved"]) == 3:
+            assert not a["factored"], i
+        elif not accepted or a["dh"] != last_dh:
+            assert a["factored"] == [a["dh"]], i
+        if a["factored"]:
+            last_dh = a["dh"]
+    factorisations = sum(len(a["factored"]) for a in attempts)
+    assert factorisations <= share * len(attempts)
     if variant is ThermalVariant.BETA_DERIVATIVE:
-        assert calls == {"inv": 0, "solve": 0, "stencil": attempts}
+        assert calls == {"inv": 0, "solve": 0, "stencil": factorisations}
     else:
-        assert calls == {"inv": attempts, "solve": 0, "stencil": 0}
+        assert calls == {"inv": factorisations, "solve": 0, "stencil": 0}
 
 
 def test_slope_form_hold_needs_few_rhs_per_step():
     # A finite-difference Jacobian would cost 142 rhs per step here, and
     # two Newton iterations per stage 6.  A stage that stops after one,
-    # on the run's contraction rate, makes it 4: one rhs per stage
-    # iteration and one at each stage's end.
+    # on the run's contraction rate, makes it 3: one rhs per stage
+    # iteration and one at the step's end, the trapezoidal stage's
+    # derivative coming from its own equation.
     params = P.with_(b=80.0)
     grid = BetaGrid.from_range(0.5, 4.0, 71)
     start = thermal.equilibrium_profile_coth(grid, params)
@@ -660,7 +723,7 @@ def test_slope_form_hold_needs_few_rhs_per_step():
         ThermalVariant.BETA_DERIVATIVE, start, (0.0, 10.0), params,
         IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9, abs_tol=1e-12))
     assert reason is StopReason.COMPLETED
-    assert traj.n_rhs / traj.n_accepted <= 4.5
+    assert traj.n_rhs / traj.n_accepted <= 3.5
 
 
 def test_stationary_profile_relaxes_residual():
