@@ -46,8 +46,9 @@ _THERMAL_NAMES = {variant.value: variant for variant in ThermalVariant}
 # in memory.
 _MAX_ROWS = 1_000_000
 # Most thermal grid nodes: a TR-BDF2 run builds the Jacobian's (n, n)
-# structure, and each integral-form attempt holds dense (n, n) matrices
-# (the Jacobian, the Newton matrix and its inverse), 32 MB each at this
+# structure, and an integral-form run holds dense (n, n) matrices, the
+# Jacobian and the Newton matrix's inverse, from one factorisation to the
+# next, and the Newton matrix too while it factors: 32 MB each at this
 # size.
 _MAX_NODES = 2000
 # Most steps one run may take, and the default: the library's default of

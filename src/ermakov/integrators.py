@@ -421,31 +421,21 @@ def _dense_solver(rhs: Callable[[np.ndarray], np.ndarray]):
     return newton_solver
 
 
-def _linear_solve(solve: Callable[[np.ndarray], np.ndarray],
-                  g: np.ndarray) -> np.ndarray:
-    """Apply a Newton solver; a non-finite solve is a bad step."""
-    x = solve(g)
-    if not np.isfinite(x).all():
-        raise _BadStep
-    return x
-
-
 class _Trbdf2Run:
     """What one TR-BDF2 run carries from one step attempt to the next.
 
     ``eta`` is the Newton contraction-rate estimate that ``_newton``
     reads and updates.  ``solve`` is the last ``newton_solver`` result
     and ``dh`` the coefficient it was made at; ``_newton`` drops it when
-    a solve contracts slowly.  ``step`` is the start (y, f0, h) and
-    ``y1`` the end of the last attempt that returned, and ``past`` the
-    start of the last accepted step, None before the first.
+    a solve contracts slowly.  An attempt factors afresh exactly when
+    its dh is not ``dh`` or ``solve`` is None.
     """
 
-    __slots__ = ("eta", "solve", "dh", "step", "y1", "past")
+    __slots__ = ("eta", "solve", "dh")
 
     def __init__(self) -> None:
         self.eta = 1.0
-        self.solve = self.dh = self.step = self.y1 = self.past = None
+        self.solve = self.dh = None
 
 
 def _newton(rhs: Callable[[np.ndarray], np.ndarray],
@@ -513,37 +503,35 @@ def _extrapolate(past: tuple, y: np.ndarray, f0: np.ndarray,
 
 def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                     f0: np.ndarray, h: float, nguard: int, abs_tol: float,
-                    rel_tol: float, newton_solver, run: _Trbdf2Run):
+                    rel_tol: float, newton_solver, run: _Trbdf2Run,
+                    nodes: tuple):
     """One TR-BDF2 step attempt.  Returns (y1, f1, err, (f0, f1)).
 
     ``newton_solver(y, f0, dh)`` returns the solve of (I - dh J(y)) x = g
     that every Newton iteration and the error filter of the step use.
-    ``run`` is the run's ``_Trbdf2Run``.  An attempt that starts where
-    the last one ended (``y is run.y1``: that step was accepted) reuses
-    the last solve while dh is unchanged; any other attempt, the first,
-    one after a rejection and one after a failure, calls
-    ``newton_solver`` afresh, as does one after a slow contraction.  Both
-    stages start from the cubic Hermite interpolant of the last accepted
-    step, extrapolated to t + gamma h and t + h; the first step, which
-    has none, predicts along f0 and the stage derivative.  That
-    derivative, f_mid, comes from the stage equation, (z - target) / dh,
-    and feeds only the error estimate and the first step's predictor.  A
-    stage usually stops after one iteration, so an attempt usually makes
-    3 rhs calls and 3 solves.
+    ``run`` is the run's ``_Trbdf2Run``.  The attempt calls
+    ``newton_solver`` when its dh differs from that of the run's last
+    solve, or when a slow contraction dropped that solve, and otherwise
+    reuses it.  ``nodes`` is the driver's (times, states, dense): the
+    accepted nodes, y the last of them, and per accepted step its
+    (f0, f1).  Both stages start from the cubic Hermite interpolant of
+    the last accepted step, extrapolated to t + gamma h and t + h; the
+    first step, which has none, predicts along f0 and the stage
+    derivative.  That derivative, f_mid, comes from the stage equation,
+    (z - target) / dh, and feeds only the error estimate and the first
+    step's predictor.  A stage usually stops after one iteration, so an
+    attempt usually makes 3 rhs calls and 3 solves.
     """
     scale = abs_tol + rel_tol * np.abs(y)
     dh = _TB_D * h
-    if y is run.y1:
-        run.y1 = None
-        run.past = run.step
-        solve = run.solve if dh == run.dh else None
-    else:
-        solve = None
-    if solve is None:
+    solve = run.solve
+    if solve is None or dh != run.dh:
         run.solve = None  # the old matrices go before the new are made
         solve = run.solve = newton_solver(y, f0, dh)
         run.dh = dh
-    past = run.past
+    times, states, dense = nodes
+    past = ((states[-2], dense[-1][0], times[-1] - times[-2]) if dense
+            else None)
     # Trapezoidal stage to t + gamma h.
     target = y + dh * f0
     if past is None:
@@ -570,8 +558,9 @@ def _trbdf2_attempt(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
         raise _BadStep
     raw = (h / 3.0) * (_TB_E0 * f0 + f_mid + _TB_E2 * f1)
     # Filter the companion difference so stiff components do not dominate.
-    err_vec = _linear_solve(solve, raw)
-    run.step, run.y1 = (y, f0, h), y1
+    err_vec = solve(raw)
+    if not np.isfinite(err_vec).all():
+        raise _BadStep
     return (y1, f1, _scaled_norm(err_vec, y, y1, abs_tol, rel_tol),
             (f0, f1))
 
@@ -748,12 +737,14 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
     ``newton_solver(y, f0, dh)`` serves the implicit scheme: it factors
     I - dh J(y), J the Jacobian of ``rhs``, and returns the solve that
     every Newton iteration and the error filter use.  An attempt calls it
-    on a new dh, after a rejected or failed attempt, and after a slow
-    Newton contraction; otherwise it reuses the last solve (see
-    ``_trbdf2_attempt``).  Without one, TR-BDF2 forms I - dh J from a
-    finite-difference Jacobian at each of those calls.  Each TR-BDF2 run
-    keeps its own ``_Trbdf2Run``: the Newton contraction-rate estimate,
-    starting at 1, the last solve and the last accepted step.
+    on a dh other than the last call's and after a slow Newton
+    contraction, and otherwise reuses the last solve; a retry always has
+    a smaller h, as ``_control`` shrinks it and the run stops rather than
+    retry at ``h_min``.  Without one, TR-BDF2 forms I - dh J from a
+    finite-difference Jacobian.  Each TR-BDF2 run keeps its own
+    ``_Trbdf2Run`` (the Newton rate estimate, starting at 1, and the last
+    solve with its dh) and reads the last accepted step from its node
+    lists (see ``_trbdf2_attempt``).
     ``np.linalg.LinAlgError`` anywhere in a step attempt is a bad step.
     ``runaway=(scale, window)`` sets a third-order run's two triggers on
     |y[2]| (see ``IntegratorConfig``); the window's base is the last node
@@ -783,8 +774,14 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
                           5 if explicit else 2, config, nguard)
 
     floats = explicit and y0.size <= 3
+    y = y0.tolist() if floats else y0.copy()
+    times = [t0]
+    states = [y]
+    errs = [0.0]
+    # Per accepted step: what its attempt returned for its interpolant.
+    dense = []
     if floats:
-        y, f0 = y0.tolist(), f0.tolist()
+        f0 = f0.tolist()
         lowest = min
         if width_rate is None:
             stage = _float_stages(rhs, nfev)
@@ -793,7 +790,6 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
         attempt = partial(_dp54_floats2 if y0.size == 2 else _dp54_floats,
                           stage, abs_tol, rel_tol)
     else:
-        y = y0.copy()
         lowest = np.min
         if explicit:
             attempt = partial(_dp54_attempt, counted_array, nguard=nguard,
@@ -803,13 +799,8 @@ def _drive(rhs, y0: np.ndarray, t_span: tuple, config: IntegratorConfig,
                               abs_tol=abs_tol, rel_tol=rel_tol,
                               newton_solver=newton_solver
                               or _dense_solver(counted_array),
-                              run=_Trbdf2Run())
+                              run=_Trbdf2Run(), nodes=(times, states, dense))
 
-    times = [t0]
-    states = [y]
-    errs = [0.0]
-    # Per accepted step: what its attempt returned for its interpolant.
-    dense = []
     if runaway is not None:
         runaway_scale, runaway_window = runaway
         floor = 1e-3 * runaway_scale
@@ -998,7 +989,7 @@ def integrate(variant: ModelVariant, initial, t_span,
         width_rate = (accel, variant, params)
     if variant is ModelVariant.HIGH_TEMPERATURE and params.is_zero_temperature:
         raise ValueError("the high-temperature variant needs finite beta")
-    if y0[0] <= config.sigma_min_guard:
+    if not y0[0] > config.sigma_min_guard:
         raise ValueError("initial width must exceed sigma_min_guard")
 
     if (config.scheme is Scheme.DOPRI54

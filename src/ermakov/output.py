@@ -10,6 +10,7 @@ those of formatting every cell on its own.  CSVs are parsed by numpy's
 reader, which converts a cell as Python's ``float()`` does.
 """
 
+import html
 import json
 import math
 from pathlib import Path
@@ -187,7 +188,8 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
 
     ``series`` is an ordered sequence of (label, y-array) pairs sharing
     the x-axis.  Non-finite points break the line.  Presentation only:
-    nothing downstream reads these files back.
+    nothing downstream reads these files back.  The title and every
+    label are escaped as XML text.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -199,6 +201,8 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} does not match the x axis")
 
+    title, x_label, y_label = (html.escape(text, quote=False)
+                               for text in (title, x_label, y_label))
     x_lo, x_hi = _finite_span(x)
     y_lo, y_hi = _finite_span(np.concatenate([y for _, y in ys]))
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -260,6 +264,7 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
                      f'y2="{ly:g}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{lx + 28:g}" y="{ly + 4:g}" '
                      'font-family="sans-serif" font-size="12" '
-                     f'text-anchor="start">{label}</text>')
+                     f'text-anchor="start">{html.escape(label, quote=False)}'
+                     '</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -521,7 +521,7 @@ def integrate_thermal(variant: ThermalVariant, initial: ThermalField, t_span,
     t0, t1 = _check_span(t_span)
     grid = initial.grid
     n = grid.count
-    if np.min(initial.sigma) <= config.sigma_min_guard:
+    if not np.min(initial.sigma) > config.sigma_min_guard:
         raise ValueError("initial widths must exceed sigma_min_guard")
 
     def rhs(y: np.ndarray) -> np.ndarray:

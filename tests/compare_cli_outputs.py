@@ -41,8 +41,13 @@ Usage::
     python3 tests/compare_cli_outputs.py OLD_SRC NEW_SRC [WORK_DIR]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories that contain the
-``ermakov`` package (for example a checkout's ``src``).  Exits 0 when
-every file matches and 1 otherwise, naming each file that differs.
+``ermakov`` package (for example a checkout's ``src``).  ``WORK_DIR``,
+where the configs and both trees' outputs go, must not exist yet; without
+it they go to a temporary directory.  A file that only the new tree
+writes is reported as ``DIFF <run>/<file> (only in new)``, and one that
+only the old tree writes as ``DIFF <run>/<file> (<size> bytes)``.
+Exits 0 when every file matches, 1 otherwise, naming each file that
+differs, and 2 on bad arguments or an existing ``WORK_DIR``.
 """
 
 import json
@@ -460,14 +465,18 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
     new_codes = _run_tree(new_src, cmds, work / "new")
     bad = 0
     for label, _ in cmds:
-        files = sorted(p.relative_to(work / "old" / label)
-                       for p in (work / "old" / label).rglob("*")
-                       if p.is_file())
+        old_files, new_files = (
+            {p.relative_to(work / side / label)
+             for p in (work / side / label).rglob("*") if p.is_file()}
+            for side in ("old", "new"))
         if old_codes[label] != new_codes[label]:
             print(f"DIFF {label}: exit {old_codes[label]} -> "
                   f"{new_codes[label]}")
             bad += 1
-        for rel in files:
+        for rel in sorted(new_files - old_files):
+            print(f"DIFF {label}/{rel} (only in new)")
+            bad += 1
+        for rel in sorted(old_files):
             a = (work / "old" / label / rel).read_bytes()
             b_path = work / "new" / label / rel
             same = b_path.is_file() and b_path.read_bytes() == a
@@ -489,7 +498,12 @@ def main(argv) -> int:
     old_src, new_src = Path(argv[0]), Path(argv[1])
     if len(argv) == 3:
         work = Path(argv[2])
-        work.mkdir(parents=True, exist_ok=False)
+        try:
+            work.mkdir(parents=True)
+        except FileExistsError:
+            print(f"{work} already exists; name a new WORK_DIR",
+                  file=sys.stderr)
+            return 2
         return compare(old_src, new_src, work)
     with tempfile.TemporaryDirectory() as tmp:
         return compare(old_src, new_src, Path(tmp))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -816,6 +817,19 @@ def test_plot_rerenders_csv(tmp_path):
     assert rc == 0
     svg = (tmp_path / "trajectory.svg").read_text(encoding="ascii")
     assert svg.startswith("<svg") and svg.count("<polyline") >= 3
+
+
+def test_plot_escapes_chart_text(tmp_path):
+    # The file name becomes the title and the header the axis and series
+    # labels: XML markup characters in them stay text.
+    table = tmp_path / "r&d.csv"
+    table.write_text("x,a<b&c\n0,1\n1,2\n", encoding="ascii")
+    rc = cli.main(["plot", str(table), "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    svg = minidom.parse(str(tmp_path / "r&d.svg"))
+    texts = {node.firstChild.data
+             for node in svg.getElementsByTagName("text")}
+    assert {"r&d", "x", "a<b&c"} <= texts
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -442,41 +442,50 @@ def _oscillator_solver(y, f0, dh):
 
 
 def _counted_attempt(newton_solver):
-    """A bound TR-BDF2 attempt on the oscillator with a fresh run, and
-    the list of dh its ``newton_solver`` calls were made at."""
+    """A bound TR-BDF2 attempt on the oscillator with a fresh run and its
+    own node record, ``accept(h, out)`` that records an attempt's step
+    as ``_drive`` does, and the list of dh its ``newton_solver`` calls
+    were made at."""
     calls = []
+    times, states, dense = [0.0], [np.array([1.0, 0.5])], []
 
     def counted(y, f0, dh):
         calls.append(dh)
         return newton_solver(y, f0, dh)
 
+    def accept(h, out):
+        times.append(times[-1] + h)
+        states.append(out[0])
+        dense.append(out[3])
+
     attempt = partial(integrators._trbdf2_attempt, _oscillator, nguard=1,
                       abs_tol=1e-12, rel_tol=1e-9, newton_solver=counted,
-                      run=integrators._Trbdf2Run())
-    return attempt, calls
+                      run=integrators._Trbdf2Run(),
+                      nodes=(times, states, dense))
+    return attempt, accept, calls, states
 
 
-def test_trbdf2_reuses_its_matrix_only_after_an_accepted_step():
-    # The driver hands an accepted step's y1 to the next attempt and
-    # restarts a rejected one from its own start, here at the same h.
-    attempt, calls = _counted_attempt(_oscillator_solver)
-    y = np.array([1.0, 0.5])
-    first = attempt(y, _oscillator(y), 0.01)
+def test_trbdf2_reuses_its_matrix_at_an_unchanged_dh():
+    # An attempt at the dh of the last factorisation reuses it; one at a
+    # new dh, as a retry after a rejection always has, factors afresh.
+    attempt, accept, calls, states = _counted_attempt(_oscillator_solver)
+    first = attempt(states[0], _oscillator(states[0]), 0.01)
     assert len(calls) == 1
-    attempt(first[0], first[1], 0.01)
+    accept(0.01, first)
+    second = attempt(first[0], first[1], 0.01)
     assert len(calls) == 1
-    # The second is rejected: its retry factors afresh, at the same dh.
-    retry = attempt(first[0], first[1], 0.01)
+    accept(0.01, second)
+    attempt(second[0], second[1], 0.02)
     assert len(calls) == 2
-    attempt(retry[0], retry[1], 0.01)
-    assert len(calls) == 2
-    assert calls[0] == calls[1]
+    # That one is rejected: its retry, from the same node at a smaller h.
+    attempt(second[0], second[1], 0.005)
+    assert calls == [integrators._TB_D * h for h in (0.01, 0.02, 0.005)]
 
 
 def test_trbdf2_factors_afresh_after_a_late_failure():
     # A solve that fails after its matrix was made, as
-    # ``_late_failing_solver``'s do, leaves nothing to reuse: the retry
-    # from the same accepted node, at the same h, calls the solver again.
+    # ``_late_failing_solver``'s do, halves the step: the retry from the
+    # same accepted node calls the solver again, at its new dh.
     failing = [False]
 
     def solver(y, f0, dh):
@@ -488,15 +497,15 @@ def test_trbdf2_factors_afresh_after_a_late_failure():
             return solve(g)
         return checked
 
-    attempt, calls = _counted_attempt(solver)
-    y = np.array([1.0, 0.5])
-    first = attempt(y, _oscillator(y), 0.01)
+    attempt, accept, calls, states = _counted_attempt(solver)
+    first = attempt(states[0], _oscillator(states[0]), 0.01)
+    accept(0.01, first)
     failing[0] = True
     with pytest.raises(np.linalg.LinAlgError):
         attempt(first[0], first[1], 0.01)
     assert len(calls) == 1
     failing[0] = False
-    attempt(first[0], first[1], 0.01)
+    attempt(first[0], first[1], 0.005)
     assert len(calls) == 2
     # In the driver every attempt with ``_late_failing_solver`` fails, so
     # each one factors afresh.
@@ -510,6 +519,69 @@ def test_trbdf2_factors_afresh_after_a_late_failure():
     fields, _ = integrators._drive(_oscillator, np.array([1.0, 0.0]),
                                    (0.0, 1.0), cfg, newton_solver=counted)
     assert len(calls) == fields["n_rejected"] + 1
+
+
+def _off_equilibrium_field(variant):
+    params = PhysicalParams(beta=1.0, b=1.0)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    start = ThermalField.at_rest(
+        grid, 0.5 * thermal.equilibrium_profile_coth(grid, params).sigma)
+    traj, reason = thermal.integrate_thermal(
+        variant, start, (0.0, 2.0), params,
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-6, abs_tol=1e-9))
+    assert reason is StopReason.COMPLETED
+    return traj.n_rejected
+
+
+def _radiative_window():
+    traj, reason = integrators.integrate(
+        ModelVariant.RADIATIVE_NAIVE, State(1.0, 0.1), (0.0, 2.0),
+        PhysicalParams(r=0.01),
+        IntegratorConfig(scheme=Scheme.TRBDF2, runaway_ratio=50.0))
+    assert reason is StopReason.RUNAWAY_DETECTED
+    return traj.n_rejected
+
+
+# TR-BDF2 runs with rejected or failed attempts, each returning its
+# driver's count of them.  The radiative run, which stops on the
+# window trigger, has none.
+_RETRY_RUNS = {
+    "width-b0.5": lambda: _width_run(0.5)(
+        IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-8, abs_tol=1e-11),
+        (0.0, 20.0))[0].n_rejected,
+    "late-failure": lambda: integrators._drive(
+        _oscillator, np.array([1.0, 0.0]), (0.0, 1.0),
+        IntegratorConfig(scheme=Scheme.TRBDF2, h_init=0.1, h_min=1e-3),
+        newton_solver=_late_failing_solver)[0]["n_rejected"],
+    "radiative-window": _radiative_window,
+    "field-slope": partial(_off_equilibrium_field,
+                           ThermalVariant.BETA_DERIVATIVE),
+    "field-integral": partial(_off_equilibrium_field,
+                              ThermalVariant.INTEGRAL_FORM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETRY_RUNS))
+def test_trbdf2_retries_at_a_smaller_dh(monkeypatch, name):
+    # An attempt the driver did not accept leaves its node record as it
+    # was, and the next attempt has a strictly smaller dh, so that
+    # factoring on each new dh also factors every retry.
+    kernel = integrators._trbdf2_attempt
+    seen = []  # per attempt: (dh, accepted nodes at its start)
+
+    def attempt(rhs, y, f0, h, **kwargs):
+        dh, count = integrators._TB_D * h, len(kwargs["nodes"][0])
+        if seen and seen[-1][1] == count:
+            # Fail here: a retry at the same h would repeat itself.
+            assert dh < seen[-1][0], (len(seen), dh, seen[-1][0])
+        seen.append((dh, count))
+        return kernel(rhs, y, f0, h, **kwargs)
+
+    monkeypatch.setattr(integrators, "_trbdf2_attempt", attempt)
+    rejected = _RETRY_RUNS[name]()
+    retries = sum(a[1] == b[1] for a, b in zip(seen, seen[1:]))
+    assert retries == rejected
+    assert rejected > 0 or name == "radiative-window"
 
 
 @pytest.mark.parametrize("theta, refresh", [(0.5, False), (2.0, True)])
@@ -656,6 +728,28 @@ def test_routing_and_initial_state_validation():
     with pytest.raises(ValueError, match="sigma_min_guard"):
         integrators.integrate(ModelVariant.CONSERVATIVE,
                               State(1e-13, 0.0), (0.0, 1.0), params, None)
+
+
+_NAN_STARTS = {
+    "integrate": lambda: integrators.integrate(
+        ModelVariant.CONSERVATIVE, State(math.nan, 0.0), (0.0, 1.0),
+        PhysicalParams()),
+    "integrate_overdamped": lambda: integrators.integrate_overdamped(
+        ModelVariant.OVERDAMPED_DISSIPATIVE, math.nan, (0.0, 1.0),
+        PhysicalParams(b=1.0)),
+    "integrate_thermal": lambda: thermal.integrate_thermal(
+        ThermalVariant.INTEGRAL_FORM,
+        ThermalField.at_rest(BetaGrid.from_range(0.5, 2.0, 6),
+                             [1.0, 1.0, math.nan, 1.0, 1.0, 1.0]),
+        (0.0, 1.0), PhysicalParams()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_STARTS))
+def test_nan_start_width_names_the_guard(entry):
+    # A NaN width is not above the guard, whichever entry point takes it.
+    with pytest.raises(ValueError, match="sigma_min_guard"):
+        _NAN_STARTS[entry]()
 
 
 @pytest.mark.parametrize("t_span", [None, (0.0,), (0.0, "1"), 1.0,

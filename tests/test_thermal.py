@@ -628,7 +628,7 @@ def test_trbdf2_field_rhs_calls_equal_n_rhs(monkeypatch, variant):
 def _record_attempts(monkeypatch):
     """Record each TR-BDF2 attempt of the thermal runs from here on: its
     dh, the dh of each factorisation it makes, the dh each of its solves
-    was factored at, and its start and end states."""
+    was factored at, and whether it ended with its run's matrix dropped."""
     attempts = []
     schur = thermal._schur_solver
 
@@ -648,11 +648,12 @@ def _record_attempts(monkeypatch):
     kernel = integrators._trbdf2_attempt
 
     def attempt(rhs, y, f0, h, **kwargs):
-        attempts.append({"dh": integrators._TB_D * h, "y": y, "y1": None,
-                         "factored": [], "solved": []})
-        out = kernel(rhs, y, f0, h, **kwargs)
-        attempts[-1]["y1"] = out[0]
-        return out
+        attempts.append({"dh": integrators._TB_D * h, "factored": [],
+                         "solved": []})
+        try:
+            return kernel(rhs, y, f0, h, **kwargs)
+        finally:
+            attempts[-1]["dropped"] = kwargs["run"].solve is None
 
     monkeypatch.setattr(thermal, "_schur_solver", recording_schur)
     monkeypatch.setattr(integrators, "_trbdf2_attempt", attempt)
@@ -671,13 +672,11 @@ def test_trbdf2_field_factors_only_on_a_new_dh_or_a_refresh(
         share):
     # Every solve of an attempt, each Newton iteration's and the error
     # filter's, uses a factorisation made at that attempt's dh.  An
-    # attempt factors only on a dh other than the last factorisation's,
-    # after an attempt that was rejected or failed, or after one whose
-    # Newton solves iterated more than once (a slow contraction can drop
-    # the matrix); an attempt that follows an accepted one at the same dh
-    # with one iteration per stage reuses its matrix.  The slope form
-    # factors with the O(n) stencil, no dense inverse or solve; the
-    # integral form inverts.
+    # attempt factors exactly when its dh is not the last
+    # factorisation's, or when the attempt before it dropped the matrix,
+    # which only a Newton solve that iterated more than once can do.  The
+    # slope form factors with the O(n) stencil, no dense inverse or
+    # solve; the integral form inverts.
     calls = _count_factorisations(monkeypatch)
     attempts = _record_attempts(monkeypatch)
     grid = BetaGrid.from_range(0.5, 4.0, count)
@@ -690,18 +689,14 @@ def test_trbdf2_field_factors_only_on_a_new_dh_or_a_refresh(
                          abs_tol=1e-3 * rel_tol))
     assert reason is StopReason.COMPLETED
     assert len(attempts) == traj.n_accepted + traj.n_rejected
-    last_dh = None
+    last_dh, dropped = None, True
     for i, a in enumerate(attempts):
         assert a["solved"] and set(a["solved"]) == {a["dh"]}, i
-        assert len(a["factored"]) <= 1, i
-        before = attempts[i - 1] if i else None
-        accepted = before is not None and a["y"] is before["y1"]
-        if accepted and a["dh"] == last_dh and len(before["solved"]) == 3:
-            assert not a["factored"], i
-        elif not accepted or a["dh"] != last_dh:
-            assert a["factored"] == [a["dh"]], i
-        if a["factored"]:
-            last_dh = a["dh"]
+        new = dropped or a["dh"] != last_dh
+        assert a["factored"] == ([a["dh"]] if new else []), i
+        if a["dropped"]:
+            assert len(a["solved"]) > 3, i
+        last_dh, dropped = a["dh"], a["dropped"]
     factorisations = sum(len(a["factored"]) for a in attempts)
     assert factorisations <= share * len(attempts)
     if variant is ThermalVariant.BETA_DERIVATIVE:
