@@ -466,7 +466,7 @@ def _cmd_run(args) -> int:
     if svg_name:
         svg = output.polyline_chart(x, series, parsed["variant"].value,
                                     "t", "sigma")
-        _out_path(args.out, svg_name).write_text(svg, encoding="ascii")
+        output.write_svg(_out_path(args.out, svg_name), svg)
     summary.update({
         "command": args.command,
         "stop_reason": reason.value,
@@ -629,7 +629,7 @@ def _cmd_plot(args) -> int:
     stem = Path(args.csv).stem
     svg = output.polyline_chart(x, series, stem, header[0], "value")
     svg_path = _out_path(args.out, stem + ".svg")
-    svg_path.write_text(svg, encoding="ascii")
+    output.write_svg(svg_path, svg)
     _say(args.quiet, f"wrote {svg_path}")
     return EXIT_OK
 

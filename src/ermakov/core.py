@@ -11,6 +11,7 @@ is exactly 0.0) rather than approximately.
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,9 @@ class PhysicalParams:
     ``beta`` must be strictly positive; ``ZERO_TEMPERATURE`` (``math.inf``)
     selects the zero-temperature limit exactly.  ``b`` and ``r`` default to
     zero so a bare ``PhysicalParams()`` is the conservative natural-unit
-    oscillator.
+    oscillator.  ``rate_constants`` is computed on first use and kept on
+    the instance, outside the fields, so ``eq``, ``hash`` and ``repr``
+    ignore it and a ``with_`` copy computes its own.
     """
 
     m: float = 1.0
@@ -64,6 +67,11 @@ class PhysicalParams:
             raise ValueError(
                 f"beta must be positive (ZERO_TEMPERATURE for the T = 0 limit), got {self.beta!r}"
             )
+
+    @cached_property
+    def rate_constants(self) -> "RateConstants":
+        """The parameter-only subexpressions of the width rates."""
+        return RateConstants(self)
 
     @property
     def is_zero_temperature(self) -> bool:
@@ -96,6 +104,34 @@ class PhysicalParams:
     def with_(self, **changes) -> "PhysicalParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+class RateConstants:
+    """The parameter-only subexpressions of the width rates in ``models``.
+
+    Each is grouped as the rate formula groups it (``-omega0 ** 2`` is
+    -(omega0^2), ``m_omega0_sq`` is m * omega0^2), so a rate that reads
+    them gives the written-out formula bit for bit.  None of them can
+    raise: every field is at most ``_MAX_PARAMETER``, and a float product
+    or quotient out of range is inf.
+    """
+
+    __slots__ = ("neg_omega0_sq", "omega0_sq", "hbar_sq", "four_m_sq",
+                 "b_over_m", "beta_m", "r_over_m", "three_hbar_sq",
+                 "m_omega0_sq", "four_m")
+
+    def __init__(self, params: PhysicalParams) -> None:
+        m, omega0, hbar = params.m, params.omega0, params.hbar
+        self.neg_omega0_sq = -omega0 ** 2
+        self.omega0_sq = omega0 ** 2
+        self.hbar_sq = hbar ** 2
+        self.four_m_sq = 4.0 * m ** 2
+        self.b_over_m = params.b / m
+        self.beta_m = params.beta * m
+        self.r_over_m = params.r / m
+        self.three_hbar_sq = 3.0 * hbar ** 2
+        self.m_omega0_sq = m * omega0 ** 2
+        self.four_m = 4.0 * m
 
 
 def make_natural_params(gamma: float = 0.0, theta: float = 0.0,

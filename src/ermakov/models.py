@@ -24,6 +24,15 @@ integrator's stage evaluator, ``acceleration`` (the one entry the
 integrators call per rhs evaluation) and ``conservative_acceleration``.
 Each formula is looked up as a module attribute at call time, so a
 replaced one reaches every stage.
+
+The rates read their parameter-only subexpressions (-w0^2, w0^2, hbar^2,
+4 m^2, b/m, beta m, r/m, 3 hbar^2, m w0^2 and 4 m) from
+``params.rate_constants``, which each ``PhysicalParams`` computes on its
+first rate call and keeps; a bundle that never reaches a rate never
+computes them.  Every constant is grouped as the formula groups it, so
+each rate is its written-out formula bit for bit.  ``acceleration`` and
+``overdamped_velocity`` compare against module-level copies of the enum
+members, a global lookup in place of an enum attribute per call.
 """
 
 from enum import Enum, unique
@@ -52,6 +61,10 @@ OVERDAMPED_VARIANTS = (
     ModelVariant.OVERDAMPED_DISSIPATIVE,
     ModelVariant.OVERDAMPED_HIGH_TEMPERATURE,
 )
+_CONSERVATIVE, _DISSIPATIVE, _HIGH_TEMPERATURE, _RADIATIVE_REDUCED = \
+    SECOND_ORDER_VARIANTS
+_RADIATIVE_NAIVE = ModelVariant.RADIATIVE_NAIVE
+_OVERDAMPED_HIGH_TEMPERATURE = ModelVariant.OVERDAMPED_HIGH_TEMPERATURE
 
 
 def _row(state):
@@ -66,24 +79,28 @@ def _row(state):
 
 def quantum_pressure_acceleration(sigma: float, params: PhysicalParams) -> float:
     """Repulsive width acceleration hbar^2 / (4 m^2 sigma^3)."""
-    return params.hbar ** 2 / (4.0 * params.m ** 2 * sigma ** 3)
+    c = params.rate_constants
+    return c.hbar_sq / (c.four_m_sq * sigma ** 3)
 
 
 def conservative_acceleration(sigma: float, params: PhysicalParams) -> float:
     """sigma_ddot = -w0^2 sigma + hbar^2 / (4 m^2 sigma^3).
 
     The quantum term is ``quantum_pressure_acceleration`` written out,
-    the same expression, so each rhs evaluation saves a call.
+    the same expression, so each rhs evaluation saves a call.  -w0^2,
+    hbar^2 and 4 m^2 are read from ``params.rate_constants``, a lazy
+    cache that the bundle fills on its first rate call.
     """
-    return -params.omega0 ** 2 * sigma \
-        + params.hbar ** 2 / (4.0 * params.m ** 2 * sigma ** 3)
+    c = params.rate_constants
+    return c.neg_omega0_sq * sigma + c.hbar_sq / (c.four_m_sq * sigma ** 3)
 
 
 def damped_acceleration(state, params: PhysicalParams) -> float:
     """Conservative acceleration plus linear friction -(b/m) sigma_dot."""
     s, sd = (state.sigma, state.sigma_dot) if isinstance(state, State) \
         else state
-    return conservative_acceleration(s, params) - (params.b / params.m) * sd
+    return conservative_acceleration(s, params) \
+        - params.rate_constants.b_over_m * sd
 
 
 def thermal_pressure_acceleration(sigma: float, params: PhysicalParams) -> float:
@@ -93,7 +110,7 @@ def thermal_pressure_acceleration(sigma: float, params: PhysicalParams) -> float
             "high-temperature variant rejects the zero-temperature marker; "
             "use the damped variant at T = 0"
         )
-    return 1.0 / (params.beta * params.m * sigma)
+    return 1.0 / (params.rate_constants.beta_m * sigma)
 
 
 def high_temperature_acceleration(state, params: PhysicalParams) -> float:
@@ -112,9 +129,9 @@ def radiative_jerk(state, params: PhysicalParams) -> float:
     if params.r <= 0.0:
         raise ValueError("the naive radiative model requires r > 0")
     s, _, sdd = _row(state)
-    m = params.m
-    force_defect = m * sdd + m * params.omega0 ** 2 * s \
-        - params.hbar ** 2 / (4.0 * m * s ** 3)
+    c = params.rate_constants
+    force_defect = params.m * sdd + c.m_omega0_sq * s \
+        - c.hbar_sq / (c.four_m * s ** 3)
     return force_defect / params.r
 
 
@@ -127,10 +144,9 @@ def radiative_reduced_acceleration(state, params: PhysicalParams) -> float:
     """
     s, sd = (state.sigma, state.sigma_dot) if isinstance(state, State) \
         else state
-    effective_friction = (params.r / params.m) * (
-        params.omega0 ** 2
-        + 3.0 * params.hbar ** 2 / (4.0 * params.m ** 2 * s ** 4)
-    )
+    c = params.rate_constants
+    effective_friction = c.r_over_m * (
+        c.omega0_sq + c.three_hbar_sq / (c.four_m_sq * s ** 4))
     return conservative_acceleration(s, params) - effective_friction * sd
 
 
@@ -142,23 +158,23 @@ def overdamped_velocity(sigma: float, params: PhysicalParams,
     if params.b <= 0.0:
         raise ValueError("overdamped models require b > 0")
     force_per_mass = conservative_acceleration(sigma, params)
-    if variant is ModelVariant.OVERDAMPED_HIGH_TEMPERATURE:
+    if variant is _OVERDAMPED_HIGH_TEMPERATURE:
         force_per_mass += thermal_pressure_acceleration(sigma, params)
     return params.m * force_per_mass / params.b
 
 
 def acceleration(variant: ModelVariant, state, params: PhysicalParams) -> float:
     """Dispatch sigma_ddot for the second-order variants."""
-    if variant is ModelVariant.CONSERVATIVE:
+    if variant is _CONSERVATIVE:
         return conservative_acceleration(
             state.sigma if isinstance(state, State) else state[0], params)
-    if variant is ModelVariant.DISSIPATIVE:
+    if variant is _DISSIPATIVE:
         return damped_acceleration(state, params)
-    if variant is ModelVariant.HIGH_TEMPERATURE:
+    if variant is _HIGH_TEMPERATURE:
         return high_temperature_acceleration(state, params)
-    if variant is ModelVariant.RADIATIVE_REDUCED:
+    if variant is _RADIATIVE_REDUCED:
         return radiative_reduced_acceleration(state, params)
-    if variant is ModelVariant.RADIATIVE_NAIVE:
+    if variant is _RADIATIVE_NAIVE:
         raise ValueError("the naive radiative model is third order; use radiative_jerk")
     raise ValueError(f"{variant} is first order; use overdamped_velocity")
 

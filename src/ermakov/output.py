@@ -24,6 +24,7 @@ __all__ = [
     "read_csv",
     "write_json",
     "polyline_chart",
+    "write_svg",
 ]
 
 
@@ -106,10 +107,14 @@ def read_csv(path) -> Tuple[List[str], np.ndarray]:
     Blank lines are skipped.  numpy's reader parses the cells with the
     C conversion behind Python's ``float()``, so every value is bit-exact.
     Unlike ``float()`` it rejects underscores between digits and strips
-    the ASCII controls 0x1c-0x1f around a cell.  A ragged or unparsable
-    file raises a ValueError naming it.
+    the ASCII controls 0x1c-0x1f around a cell.  A file that is not
+    ASCII, ragged or unparsable raises a ValueError naming it.
     """
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not ASCII: byte {exc.start} is "
+                         f"{exc.object[exc.start]:#x}") from None
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise ValueError(f"{path} is empty")
@@ -268,3 +273,17 @@ def polyline_chart(x: np.ndarray, series: Sequence[Tuple[str, np.ndarray]],
                      '</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def write_svg(path, svg: str) -> None:
+    """Write a chart as ASCII, text that ASCII cannot hold as XML
+    character references (an ASCII chart keeps its bytes).  A write that
+    fails removes the file it opened."""
+    data = svg.encode("ascii", "xmlcharrefreplace")
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(data)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise

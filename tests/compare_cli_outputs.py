@@ -6,12 +6,15 @@ them with an SVG chart, the naive radiative model at ``runaway_ratio``
 rather than the ratio one, the dissipative model at friction 20 and at
 friction 100 and the overdamped dissipative model on TR-BDF2, a
 dissipative run with m = 0.8, omega0 = 1.5 and hbar = 0.7, whose energy
-cells change with any regrouping of the energy's products, a
-conservative run stopped by
-``max_steps``, a conservative run with rejected steps, one at width
-1e150 whose every rhs call overflows on Python floats and is retried on
-numpy scalars, and a tight conservative run of about 12,500 steps over
-[0, 20 pi] sampled 20,001 times, thermal for the integral form on both
+cells change with any regrouping of the energy's products, the
+conservative, high-temperature, both radiative and the overdamped
+high-temperature models on such parameters (also b, beta and r), whose
+cells change with a regrouped parameter product in a rate, a
+conservative run stopped by ``max_steps``, a conservative run with
+rejected steps, one at width 1e150 whose every rhs call overflows on
+Python floats and is retried on numpy scalars, and a tight
+conservative run of about 12,500 steps over [0, 20 pi] sampled 20,001
+times, thermal for the integral form on both
 schemes, the explicit one with a chart, the benchmark's 36-node
 integral-form relaxation on TR-BDF2 over [0, 60], and the slope form on
 TR-BDF2 (also as a stiff 71-node hold at equilibrium, whose step sizes follow
@@ -24,7 +27,7 @@ config directory and named by absolute path, equilibrium, a simulate
 sweep at ``--jobs 1`` and ``--jobs 4``, a sweep of equilibrium over
 ``params.beta``, ``plot`` of the explicit thermal CSV and of the hold's
 CSV, whose 71 x 201 = 14,271 rows repeat t and beta over 14 write
-blocks, and ``verify`` of six suites; 33 runs in all) once against each
+blocks, and ``verify`` of six suites; 38 runs in all) once against each
 tree, each in a fresh interpreter, and compares every CSV, SVG,
 ``summary.json`` and ``verify_report.json`` byte for byte. For a CSV
 that differs it prints how many data rows differ and the largest
@@ -133,6 +136,48 @@ CONFIGS = {
         "initial": {"sigma": 1.2, "sigma_dot": 0.3},
         "t_span": [0.0, 10.0],
         "samples": 301,
+    }),
+    # The other width models on mantissas other than 0.5 as well, chosen
+    # so that regrouping a rate's parameter product moves their cells:
+    # b / m against b * (1 / m), r / m against r * (1 / m), 3 hbar^2
+    # against (3 hbar) hbar and m omega0^2 against (m omega0) omega0 each
+    # differ by an ulp here.
+    "conservative-unscaled": ("simulate", {
+        "model": "conservative",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.6},
+        "initial": {"sigma": 1.2, "sigma_dot": 0.3},
+        "t_span": [0.0, 10.0],
+        "samples": 301,
+    }),
+    "high-temperature-unscaled": ("simulate", {
+        "model": "high-temperature",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.6, "b": 0.3,
+                   "beta": 1.7},
+        "initial": {"sigma": 1.2, "sigma_dot": 0.3},
+        "t_span": [0.0, 10.0],
+        "samples": 301,
+    }),
+    "radiative-reduced-unscaled": ("simulate", {
+        "model": "radiative-reduced",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.6, "r": 0.02},
+        "initial": {"sigma": 1.2, "sigma_dot": 0.3},
+        "t_span": [0.0, 10.0],
+        "samples": 301,
+    }),
+    "radiative-naive-unscaled": ("simulate", {
+        "model": "radiative-naive",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.6, "r": 0.02},
+        "initial": {"sigma": 1.2, "sigma_dot": 0.3},
+        "t_span": [0.0, 2.0],
+        "samples": 101,
+    }),
+    "overdamped-high-temperature-unscaled": ("simulate", {
+        "model": "overdamped-high-temperature",
+        "params": {"m": 0.8, "omega0": 1.5, "hbar": 0.6, "b": 5.3,
+                   "beta": 1.7},
+        "initial": {"sigma": 0.5},
+        "t_span": [0.0, 3.0],
+        "samples": 157,
     }),
     # The width models on TR-BDF2: strong friction, and the first-order
     # model.

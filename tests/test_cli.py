@@ -832,6 +832,55 @@ def test_plot_escapes_chart_text(tmp_path):
     assert {"r&d", "x", "a<b&c"} <= texts
 
 
+def test_plot_writes_non_ascii_text_as_character_references(tmp_path):
+    table = tmp_path / "\u00e9.csv"
+    table.write_text("x,a\n0,1\n1,2\n", encoding="ascii")
+    rc = cli.main(["plot", str(table), "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    data = (tmp_path / "\u00e9.svg").read_bytes()
+    assert data.isascii() and b">&#233;</text>" in data
+    texts = {node.firstChild.data for node in
+             minidom.parseString(data).getElementsByTagName("text")}
+    assert "\u00e9" in texts
+
+
+def test_plot_of_a_non_ascii_header_names_the_file(tmp_path, capsys):
+    table = tmp_path / "mu.csv"
+    table.write_text("x,\u00b5\n0,1\n1,2\n", encoding="utf-8")
+    rc = cli.main(["plot", str(table), "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    assert f"{table} is not ASCII" in capsys.readouterr().err
+    assert not (tmp_path / "mu.svg").exists()
+
+
+def test_plot_leaves_no_file_when_its_write_fails(tmp_path, monkeypatch,
+                                                  capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("x,a\n0,1\n1,2\n", encoding="ascii")
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:10])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(output, "open",
+                        lambda path, mode: FullDisk(open(path, mode)),
+                        raising=False)
+    rc = cli.main(["plot", str(table), "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / "t.svg").exists()
+
+
 def test_quiet_suppresses_stdout(tmp_path, capsys):
     cfg = _free_config(tmp_path)
     rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path),

@@ -1,11 +1,14 @@
 """Right-hand sides: each variant against its hand-written formula."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ermakov import models
+from ermakov import core, models
 from ermakov.core import PhysicalParams, State, State3
 from ermakov.models import ModelVariant
 
@@ -163,3 +166,140 @@ def test_residual_overdamped_and_naive():
 def test_residual_requires_second_derivative():
     with pytest.raises(ValueError):
         models.residual(ModelVariant.CONSERVATIVE, State(0.7, 0.2), P)
+
+
+# ------------------------------------------- cached parameter constants
+
+# The rates written out on the parameter fields, each subexpression
+# grouped as the rate groups it: the reference the cached constants must
+# reproduce bit for bit.
+
+def _ref_quantum(sigma, p):
+    return p.hbar ** 2 / (4.0 * p.m ** 2 * sigma ** 3)
+
+
+def _ref_conservative(sigma, p):
+    return -p.omega0 ** 2 * sigma \
+        + p.hbar ** 2 / (4.0 * p.m ** 2 * sigma ** 3)
+
+
+def _ref_damped(row, p):
+    s, sd = row
+    return _ref_conservative(s, p) - (p.b / p.m) * sd
+
+
+def _ref_thermal(sigma, p):
+    if p.is_zero_temperature:
+        raise ValueError("zero temperature")
+    return 1.0 / (p.beta * p.m * sigma)
+
+
+def _ref_high_temperature(row, p):
+    return _ref_damped(row, p) + _ref_thermal(row[0], p)
+
+
+def _ref_jerk(row, p):
+    if p.r <= 0.0:
+        raise ValueError("r > 0")
+    s, _, sdd = row
+    m = p.m
+    return (m * sdd + m * p.omega0 ** 2 * s
+            - p.hbar ** 2 / (4.0 * m * s ** 3)) / p.r
+
+
+def _ref_reduced(row, p):
+    s, sd = row
+    friction = (p.r / p.m) * (
+        p.omega0 ** 2 + 3.0 * p.hbar ** 2 / (4.0 * p.m ** 2 * s ** 4))
+    return _ref_conservative(s, p) - friction * sd
+
+
+def _ref_overdamped(sigma, p,
+                    variant=ModelVariant.OVERDAMPED_DISSIPATIVE):
+    if p.b <= 0.0:
+        raise ValueError("b > 0")
+    force = _ref_conservative(sigma, p)
+    if variant is ModelVariant.OVERDAMPED_HIGH_TEMPERATURE:
+        force += _ref_thermal(sigma, p)
+    return p.m * force / p.b
+
+
+_HOT = ModelVariant.OVERDAMPED_HIGH_TEMPERATURE
+# (function, reference, arity): arity 1 takes sigma, 2 and 3 a row.
+_RATES = [
+    (models.quantum_pressure_acceleration, _ref_quantum, 1),
+    (models.conservative_acceleration, _ref_conservative, 1),
+    (models.thermal_pressure_acceleration, _ref_thermal, 1),
+    (models.overdamped_velocity, _ref_overdamped, 1),
+    (lambda s, p: models.overdamped_velocity(s, p, _HOT),
+     lambda s, p: _ref_overdamped(s, p, _HOT), 1),
+    (models.damped_acceleration, _ref_damped, 2),
+    (models.high_temperature_acceleration, _ref_high_temperature, 2),
+    (models.radiative_reduced_acceleration, _ref_reduced, 2),
+    (models.radiative_jerk, _ref_jerk, 3),
+] + [
+    (lambda row, p, v=v: models.acceleration(v, row, p), ref, 2)
+    for v, ref in zip(models.SECOND_ORDER_VARIANTS,
+                      (lambda row, p: _ref_conservative(row[0], p),
+                       _ref_damped, _ref_high_temperature, _ref_reduced))
+]
+
+
+def _outcome(fn, *args):
+    """The exception type a call raises, or its result's type and bits."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    return type(value), struct.pack("<d", value)
+
+
+_MAX = core._MAX_PARAMETER
+_POSITIVE = st.floats(5e-324, _MAX)
+_NON_NEGATIVE = st.floats(0.0, _MAX)
+_PARAMS = st.builds(PhysicalParams, m=_POSITIVE, omega0=_NON_NEGATIVE,
+                    hbar=_POSITIVE, b=_NON_NEGATIVE, r=_NON_NEGATIVE,
+                    beta=st.one_of(st.floats(5e-324, 1.7e308),
+                                   st.just(core.ZERO_TEMPERATURE)))
+_VALUE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=_PARAMS, row=st.tuples(_VALUE, _VALUE, _VALUE))
+def test_rates_equal_their_written_out_formulas_bit_for_bit(params, row):
+    # Python floats, where an overflow or a zero divisor raises, and the
+    # numpy scalars the integrators retry such a call on.
+    with np.errstate(all="ignore"):
+        for values in (list(row), np.array(row)):
+            for fn, ref, arity in _RATES:
+                args = (values[0] if arity == 1 else values[:arity],
+                        params)
+                assert _outcome(fn, *args) == _outcome(ref, *args), \
+                    (fn, ref, values)
+
+
+def test_rate_constants_are_lazy_and_outside_the_fields():
+    p = PhysicalParams(m=1.3, omega0=0.9, hbar=0.8, b=0.6, beta=2.0, r=0.05)
+    assert "rate_constants" not in vars(p)
+    before = (repr(p), hash(p))
+    models.conservative_acceleration(0.7, p)
+    assert "rate_constants" in vars(p)
+    assert (repr(p), hash(p)) == before and p == p.with_()
+    assert "rate_constants" not in vars(p.with_())
+
+
+def _rate_args(arity, params):
+    return (0.7 if arity == 1 else (0.7, 0.2, -0.1)[:arity]), params
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 0.7), ("omega0", 1.7), ("hbar", 1.1), ("b", 0.2), ("beta", 0.3),
+    ("r", 0.2)])
+def test_a_with_copy_reads_its_own_rate_constants(field, value):
+    p = PhysicalParams(m=1.3, omega0=0.9, hbar=0.8, b=0.6, beta=2.0, r=0.05)
+    for fn, _, arity in _RATES:  # p's constants are filled and read
+        fn(*_rate_args(arity, p))
+    copy = p.with_(**{field: value})
+    for fn, ref, arity in _RATES:
+        args = _rate_args(arity, copy)
+        assert _outcome(fn, *args) == _outcome(ref, *args)

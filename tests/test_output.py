@@ -164,6 +164,14 @@ def test_read_csv_rejects_malformed_cells_naming_the_file(tmp_path, body):
         output.read_csv(path)
 
 
+def test_read_csv_rejects_non_ascii_bytes_naming_the_file(tmp_path):
+    path = tmp_path / "utf8.csv"
+    path.write_text("t,\u03c3\n0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="utf8.csv is not ASCII: byte 2 "
+                                         "is 0xcf"):
+        output.read_csv(path)
+
+
 def test_zero_row_table_writes_the_header_alone(tmp_path):
     path = tmp_path / "empty.csv"
     output.write_csv(path, ("a", "b"), np.zeros((0, 2)))

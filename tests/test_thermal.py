@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ermakov import analytic, integrators, thermal
-from ermakov.core import PhysicalParams
+from ermakov.core import PhysicalParams, make_natural_params
 from ermakov.integrators import IntegratorConfig, Scheme, StopReason
 from ermakov.thermal import BetaGrid, ThermalField, ThermalVariant
 
@@ -719,6 +719,54 @@ def test_slope_form_hold_needs_few_rhs_per_step():
         IntegratorConfig(scheme=Scheme.TRBDF2, rel_tol=1e-9, abs_tol=1e-12))
     assert reason is StopReason.COMPLETED
     assert traj.n_rhs / traj.n_accepted <= 3.5
+
+
+def _spectral_abscissa(variant, friction, count):
+    """Largest real part of the eigenvalues of [[0, I], [A, -(b/m) I]],
+    the field linearised at the coth profile on [0.5, 4].
+
+    An eigenvalue mu of A gives the two roots of lam^2 + (b/m) lam = mu,
+    so A's eigenvalues suffice; the integral form's A is lower
+    triangular, with its eigenvalues on the diagonal.
+    """
+    params = make_natural_params(gamma=friction, theta=1.0)
+    grid = BetaGrid.from_range(0.5, 4.0, count)
+    sigma = thermal.equilibrium_profile_coth(grid, params).sigma
+    jac = thermal.acceleration_jacobian(variant, sigma, grid, params)
+    if variant is ThermalVariant.INTEGRAL_FORM:
+        assert np.all(np.triu(jac, 1) == 0.0)
+        mu = np.diag(jac)
+    else:
+        mu = np.linalg.eigvals(jac)
+    c = params.b / params.m
+    return float(np.max((-c + np.sqrt(c * c + 4.0 * mu + 0j)).real) / 2.0)
+
+
+def test_spectral_abscissa_of_the_slope_form_grows_with_the_grid():
+    # The integral form decays at every grid size.  The slope form's
+    # interior coupling, about -2 d/dbeta / (m sigma^2), grows a mode
+    # whose rate rises with the number of nodes: every friction has a
+    # grid beyond which the slope form runs away.
+    for friction in (10.0, 80.0):
+        for count in (11, 71, 201):
+            assert _spectral_abscissa(ThermalVariant.INTEGRAL_FORM,
+                                      friction, count) < 0.0
+    slope = ThermalVariant.BETA_DERIVATIVE
+    at_b10 = [_spectral_abscissa(slope, 10.0, n) for n in (11, 36, 71)]
+    assert at_b10 == sorted(at_b10) and at_b10[1] > 0.0
+    # dynamic_hold_slope's regime: 71 nodes at b = 80 still decays.
+    assert _spectral_abscissa(slope, 80.0, 71) < 0.0
+    assert _spectral_abscissa(slope, 80.0, 201) > 0.0
+    # The reduction to A's eigenvalues, against the stacked matrix.
+    params = make_natural_params(gamma=10.0, theta=1.0)
+    grid = BetaGrid.from_range(0.5, 4.0, 11)
+    jac = thermal.acceleration_jacobian(
+        slope, thermal.equilibrium_profile_coth(grid, params).sigma, grid,
+        params)
+    eye = np.eye(11)
+    stacked = np.block([[0.0 * eye, eye], [jac, -params.b * eye]])
+    assert np.max(np.linalg.eigvals(stacked).real) == pytest.approx(
+        at_b10[0], rel=1e-9)
 
 
 def test_stationary_profile_relaxes_residual():
